@@ -1,11 +1,12 @@
 //! Print the math-library accuracy study (the paper's deferred topic) and
 //! write it as `BENCH_accuracy.json` in the shared `ookami-bench-v1`
 //! schema (max/mean ulp per implementation, plus the obs counters the
-//! emulated sweeps produced when built with `--features obs`).
+//! emulated sweeps produced: the probe switches the obs layer on).
 
 use ookami_core::obs;
 
 fn main() {
+    obs::set_enabled(true);
     obs::reset();
     let obs_before = obs::snapshot();
     let rows = ookami_bench::accuracy::accuracy_study();

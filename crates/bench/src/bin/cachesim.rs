@@ -16,7 +16,8 @@
 //!
 //! Writes `BENCH_mem.json` (schema `ookami-bench-v1`) with the headline
 //! A64FX numbers plus `host_cores`, so `benchdiff` can apply the same
-//! capability-gated floor to committed baselines. Run with:
+//! capability-gated floor to committed baselines, with the obs counters
+//! the run produced (the probe switches the obs layer on). Run with:
 //!
 //! ```text
 //! cargo run -p ookami-bench --bin cachesim --release [--smoke]
@@ -97,6 +98,7 @@ fn identity_check(name: &str, spec: MemSpec, trace: &[(u64, usize)]) -> bool {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
+    obs::set_enabled(true);
     obs::reset();
     let obs_before = obs::snapshot();
     let n = if smoke { 30_000 } else { 600_000 };

@@ -1,8 +1,9 @@
 //! Regenerate the paper's figures: `figures <id>|all [--csv]`.
 //!
 //! Also writes `BENCH_figures.json` (shared `ookami-bench-v1` schema):
-//! the row count per regenerated figure, with the obs counters/spans the
-//! regeneration produced when built with `--features obs`.
+//! the row count per regenerated figure. The obs switch stays off, so the
+//! regeneration runs uninstrumented and the report's counters and spans
+//! are empty.
 
 use ookami_core::obs;
 

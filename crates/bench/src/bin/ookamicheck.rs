@@ -12,12 +12,10 @@
 //!
 //! Exit is nonzero if any shipped trace reports a diagnostic, any corpus
 //! or trace mutant is mis-judged, any TV pass transition fails to prove,
-//! or any pool race is found. Without `--features obs` the real-kernel
-//! race gate is skipped with a visible notice (timeline events only
-//! record with obs); the `--inject-race` / `--inject-tv` self-tests are
-//! feature-independent and *exit 1 when the injected defect is flagged*
-//! — the caller inverts them, mirroring `benchdiff
-//! --inject-regression`.
+//! or any pool race is found. The real-kernel race gate records its own
+//! timeline session; the `--inject-race` / `--inject-tv` self-tests *exit
+//! 1 when the injected defect is flagged* — the caller inverts them,
+//! mirroring `benchdiff --inject-regression`.
 
 use ookami_bench::family;
 use ookami_check::{
@@ -397,8 +395,7 @@ fn run_inject_tv() -> i32 {
 /// the telemetry actors live — a background `Sampler` thread and
 /// `serve` connection threads — and race-check its timeline. The actor
 /// fork/write/join events those background threads emit must all prove
-/// ordered. Returns (events, races) — only meaningful with obs
-/// compiled in.
+/// ordered. Returns (events, races).
 fn race_check_kernels() -> (usize, usize) {
     timeline::start(timeline::DEFAULT_CAPACITY);
     // Background telemetry actors run *during* the pool workload, so
@@ -561,21 +558,12 @@ fn main() {
 
     // -- race gate --
     println!("== ookamicheck: happens-before race detector ==");
-    let race_summary = if ookami_core::obs::enabled() {
-        let (events, races) = race_check_kernels();
-        println!("pool kernels: {events} timeline events, {races} race(s)");
-        if races > 0 {
-            failures += 1;
-        }
-        format!("{{\"checked\": true, \"events\": {events}, \"races\": {races}}}")
-    } else {
-        println!(
-            "SKIPPED: built without the `obs` feature — timeline events do \
-             not record, so the real-kernel race gate cannot run here \
-             (CI runs it under --features obs; --inject-race still works)"
-        );
-        String::from("{\"checked\": false, \"events\": 0, \"races\": 0}")
-    };
+    let (events, races) = race_check_kernels();
+    println!("pool kernels: {events} timeline events, {races} race(s)");
+    if races > 0 {
+        failures += 1;
+    }
+    let race_summary = format!("{{\"checked\": true, \"events\": {events}, \"races\": {races}}}");
 
     // -- machine-readable report --
     let doc = format!(

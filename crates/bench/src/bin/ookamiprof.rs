@@ -11,16 +11,16 @@
 //!   path);
 //! * the **profiling overhead ratio** — the same compiled workload run
 //!   bare vs under a region with the timeline recording — is published as
-//!   `prof_overhead_ratio` and ceiling-gated by `benchdiff` (full mode,
-//!   obs build), so the observability layer can never silently become the
-//!   workload.
+//!   `prof_overhead_ratio` and ceiling-gated by `benchdiff` (full mode),
+//!   so the observability layer can never silently become the workload.
 //!
 //! Writes `BENCH_prof.json` (p50/p99 region latencies per executor) and
 //! the collapsed-stack flamegraph export to `target/PROFILE.collapsed`
-//! (inferno / speedscope load it directly). Run with:
+//! (inferno / speedscope load it directly). The probe switches the obs
+//! layer on at start. Run with:
 //!
 //! ```text
-//! cargo run -p ookami-bench --features obs --bin ookamiprof --release [--smoke]
+//! cargo run -p ookami-bench --bin ookamiprof --release [--smoke]
 //! ```
 //!
 //! `--serve <addr>` embeds the live telemetry endpoint for the duration
@@ -103,12 +103,7 @@ fn main() {
             }
         }
     }
-    if !obs::enabled() {
-        eprintln!(
-            "note: built without the `obs` feature — histograms and spans are \
-             no-ops; identity gates are skipped"
-        );
-    }
+    obs::set_enabled(true);
     let server = serve_addr.as_deref().map(|addr| {
         let handle = telemetry::serve::spawn(addr).unwrap_or_else(|e| {
             eprintln!("error: cannot bind --serve {addr}: {e}");
@@ -186,89 +181,78 @@ fn main() {
     sampler.force_sample();
     timeline::stop();
 
-    // --- Telemetry identity gates (obs builds only; no-ops otherwise) ---
+    // --- Telemetry identity gates ---
     let mut failures = 0u32;
     let execs = ["exec_interp", "exec_replay", "exec_compiled"];
     let short = ["interp", "replay", "compiled"];
-    if obs::enabled() {
-        let hists = telemetry::snapshots();
-        let tree = spantree::profile();
-        let mut hist_ok = true;
-        let mut tree_ok = true;
-        for (exec, tag) in execs.iter().zip(short.iter()) {
-            let path = format!("ookamiprof/{exec}");
-            let Some(h) = hists.get(&(HistKind::RegionLatencyNs, path.clone())) else {
-                eprintln!("FAIL: no region-latency histogram for {path}");
-                hist_ok = false;
-                continue;
-            };
-            if h.count() != u64::from(reps) {
-                eprintln!("FAIL: histogram count for {path}: {} != {reps}", h.count());
-                hist_ok = false;
-            }
-            report
-                .metric(&format!("{tag}_p50_ns"), h.quantile(0.5) as f64)
-                .metric(&format!("{tag}_p99_ns"), h.quantile(0.99) as f64);
-            println!(
-                "{path}: count {} p50 {}ns p90 {}ns p99 {}ns max {}ns",
-                h.count(),
-                h.quantile(0.5),
-                h.quantile(0.9),
-                h.quantile(0.99),
-                h.max()
-            );
-            match tree.node(&path) {
-                Some(node) if node.count == u64::from(reps) => {}
-                other => {
-                    eprintln!(
-                        "FAIL: span-tree count for {path}: {:?} != {reps}",
-                        other.map(|n| n.count)
-                    );
-                    tree_ok = false;
-                }
-            }
+    let hists = telemetry::snapshots();
+    let tree = spantree::profile();
+    let mut hist_ok = true;
+    let mut tree_ok = true;
+    for (exec, tag) in execs.iter().zip(short.iter()) {
+        let path = format!("ookamiprof/{exec}");
+        let Some(h) = hists.get(&(HistKind::RegionLatencyNs, path.clone())) else {
+            eprintln!("FAIL: no region-latency histogram for {path}");
+            hist_ok = false;
+            continue;
+        };
+        if h.count() != u64::from(reps) {
+            eprintln!("FAIL: histogram count for {path}: {} != {reps}", h.count());
+            hist_ok = false;
         }
-        let counters_ok = d_interp == d_replay && d_replay == d_compiled;
-        if !counters_ok {
-            eprintln!(
-                "FAIL: identity counters differ across executors:\n  interp   {d_interp:?}\n  \
-                 replay   {d_replay:?}\n  compiled {d_compiled:?}"
-            );
-        }
-        for (name, ok) in [
-            ("hist_counts_identical", hist_ok),
-            ("spantree_counts_identical", tree_ok),
-            ("counters_identical", counters_ok),
-        ] {
-            report.flag(name, ok);
-            if !ok {
-                failures += 1;
-            }
-        }
-        report.flag("gate", failures == 0);
-
-        // --- Exports: rendered table + collapsed flamegraph stacks ---
-        print!("{}", tree.render_table());
-        let collapsed = tree.collapsed();
-        spantree::parse_collapsed(&collapsed).expect("own collapsed export round-trips");
-        if let Some(dir) = std::path::Path::new(&collapsed_path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::write(&collapsed_path, &collapsed).expect("write collapsed stacks");
+        report
+            .metric(&format!("{tag}_p50_ns"), h.quantile(0.5) as f64)
+            .metric(&format!("{tag}_p99_ns"), h.quantile(0.99) as f64);
         println!(
-            "wrote {collapsed_path} ({} stacks)",
-            collapsed.lines().count()
+            "{path}: count {} p50 {}ns p90 {}ns p99 {}ns max {}ns",
+            h.count(),
+            h.quantile(0.5),
+            h.quantile(0.9),
+            h.quantile(0.99),
+            h.max()
         );
-    } else {
-        for name in [
-            "hist_counts_identical",
-            "spantree_counts_identical",
-            "counters_identical",
-        ] {
-            report.flag(name, "skipped");
+        match tree.node(&path) {
+            Some(node) if node.count == u64::from(reps) => {}
+            other => {
+                eprintln!(
+                    "FAIL: span-tree count for {path}: {:?} != {reps}",
+                    other.map(|n| n.count)
+                );
+                tree_ok = false;
+            }
         }
-        report.flag("gate", true);
     }
+    let counters_ok = d_interp == d_replay && d_replay == d_compiled;
+    if !counters_ok {
+        eprintln!(
+            "FAIL: identity counters differ across executors:\n  interp   {d_interp:?}\n  \
+             replay   {d_replay:?}\n  compiled {d_compiled:?}"
+        );
+    }
+    for (name, ok) in [
+        ("hist_counts_identical", hist_ok),
+        ("spantree_counts_identical", tree_ok),
+        ("counters_identical", counters_ok),
+    ] {
+        report.flag(name, ok);
+        if !ok {
+            failures += 1;
+        }
+    }
+    report.flag("gate", failures == 0);
+
+    // --- Exports: rendered table + collapsed flamegraph stacks ---
+    print!("{}", tree.render_table());
+    let collapsed = tree.collapsed();
+    spantree::parse_collapsed(&collapsed).expect("own collapsed export round-trips");
+    if let Some(dir) = std::path::Path::new(&collapsed_path).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    std::fs::write(&collapsed_path, &collapsed).expect("write collapsed stacks");
+    println!(
+        "wrote {collapsed_path} ({} stacks)",
+        collapsed.lines().count()
+    );
 
     telemetry::validate_prometheus(&telemetry::prometheus())
         .expect("own Prometheus exposition validates");

@@ -10,7 +10,7 @@
 //! * `GET /bench/<name>` — committed `BENCH_<name>.json` baselines
 //!
 //! ```text
-//! cargo run -p ookami-bench --features obs --bin ookamiserve -- --addr 127.0.0.1:9178
+//! cargo run -p ookami-bench --bin ookamiserve -- --addr 127.0.0.1:9178
 //! ```
 //!
 //! `--selfcheck` is the CI entry point: it binds an ephemeral port, runs a
@@ -18,9 +18,10 @@
 //! client and validates each document with the in-repo parsers
 //! ([`ookami_core::telemetry::validate_prometheus`], [`Json::parse`],
 //! [`spantree::parse_collapsed`], [`obs::validate_bench_json`]), exiting
-//! nonzero on the first malformed response. It runs in both obs modes —
-//! without `obs` the documents are empty-but-well-formed, which is
-//! exactly the contract the no-op build promises.
+//! nonzero on the first malformed response. The server switches the obs
+//! layer on before the workload starts; that the same documents stay
+//! well-formed with the switch off is pinned by the `obs_switch_off`
+//! test of `ookami-core`.
 
 use ookami_core::obs::{self, Json};
 use ookami_core::telemetry::{self, serve, spantree};
@@ -174,12 +175,7 @@ fn main() {
         addr = "127.0.0.1:0".to_string();
         iterations.get_or_insert(if smoke { 3 } else { 8 });
     }
-    if !obs::enabled() {
-        eprintln!(
-            "note: built without the `obs` feature — endpoints serve \
-             empty-but-well-formed documents"
-        );
-    }
+    obs::set_enabled(true);
 
     let mut server = match bench_dir {
         Some(dir) => serve::spawn_in(&addr, dir.into()),

@@ -3,14 +3,12 @@
 //! counts next to wall time. Run with:
 //!
 //! ```text
-//! cargo run -p ookami-bench --features obs --bin ookamistat --release [--smoke]
+//! cargo run -p ookami-bench --bin ookamistat --release [--smoke]
 //! ```
 //!
-//! Writes `BENCH_obs.json` (shared `ookami-bench-v1` schema, self-validated
-//! before the write) and prints the Prometheus text exposition of the
-//! session registry. Without `--features obs` the slice still runs — the
-//! counter columns are just zero and the report says `obs_enabled: false`,
-//! which is itself worth a smoke test (the no-op path must not crash).
+//! Switches the obs layer on at start, writes `BENCH_obs.json` (shared
+//! `ookami-bench-v1` schema, self-validated before the write) and prints
+//! the Prometheus text exposition of the session registry.
 
 use ookami_core::obs::{self, Counter, Json};
 use ookami_core::timeline;
@@ -39,8 +37,7 @@ fn usage() -> ! {
          options:\n\
            --smoke         small problem sizes (CI); default is the full slice\n\
            --trace <path>  record a timeline and write a Chrome trace-event JSON\n\
-                           file to <path> (open in chrome://tracing or Perfetto);\n\
-                           requires --features obs for a non-empty trace\n\
+                           file to <path> (open in chrome://tracing or Perfetto)\n\
            --serve <addr>  serve live /metrics /profile /trace /samples on <addr>\n\
                            for the duration of the run (port 0 = ephemeral)\n\
            --help          this text\n\
@@ -84,12 +81,7 @@ fn main() {
         }
     }
     let scale = if smoke { 1 } else { 4 };
-    if !obs::enabled() {
-        eprintln!(
-            "note: built without the `obs` feature — counters read zero; \
-             rebuild with --features obs for real counts"
-        );
-    }
+    obs::set_enabled(true);
     // Bind before the workload so a watcher can follow the run live; the
     // handle's Drop stops the server when main returns.
     let _server = serve_addr.as_deref().map(|addr| {
@@ -179,25 +171,23 @@ fn main() {
         // The exporter promises Json-parseable output; hold it to that
         // before the file lands on disk.
         let parsed = Json::parse(&doc).expect("exported Chrome trace must be valid JSON");
-        if obs::enabled() {
-            let Some(Json::Arr(events)) = parsed.get("traceEvents") else {
-                panic!("trace missing traceEvents array")
-            };
-            // ≥ 1 span per workload family: every family slice above ran
-            // under obs::region, so each name must open at least once.
-            for family in ["loops", "vecmath_exp", "npb", "lulesh", "hpcc"] {
-                let opened = events.iter().any(|e| {
-                    matches!(e.get("ph"), Some(Json::Str(p)) if p == "B")
-                        && matches!(e.get("name"), Some(Json::Str(n)) if n == family)
-                });
-                assert!(opened, "trace lacks a span for workload family `{family}`");
-            }
-            let stats = timeline::stats();
-            println!(
-                "trace: {} thread(s), {} event(s) retained, {} dropped",
-                stats.threads, stats.events_retained, stats.events_dropped
-            );
+        let Some(Json::Arr(events)) = parsed.get("traceEvents") else {
+            panic!("trace missing traceEvents array")
+        };
+        // ≥ 1 span per workload family: every family slice above ran
+        // under obs::region, so each name must open at least once.
+        for family in ["loops", "vecmath_exp", "npb", "lulesh", "hpcc"] {
+            let opened = events.iter().any(|e| {
+                matches!(e.get("ph"), Some(Json::Str(p)) if p == "B")
+                    && matches!(e.get("name"), Some(Json::Str(n)) if n == family)
+            });
+            assert!(opened, "trace lacks a span for workload family `{family}`");
         }
+        let stats = timeline::stats();
+        println!(
+            "trace: {} thread(s), {} event(s) retained, {} dropped",
+            stats.threads, stats.events_retained, stats.events_dropped
+        );
         std::fs::write(path, &doc).expect("write Chrome trace");
         println!("wrote {path} (Chrome trace-event JSON; load in Perfetto)");
     }
@@ -218,32 +208,29 @@ fn main() {
         println!("{name:>24}  {secs:>9.4}");
     }
     println!();
-    if obs::enabled() {
-        println!("{:>24}  {:>14}", "counter", "events");
-        for (name, v) in snap.nonzero() {
-            println!("{name:>24}  {v:>14}");
-        }
-        // Sanity anchors: the gather/scatter loops move one element per
-        // index, and the FEXPA exp issues one FEXPA per vector.
-        assert_eq!(
-            snap.get(Counter::GatherElems),
-            n_loop as u64,
-            "gather element count off"
-        );
-        assert_eq!(
-            snap.get(Counter::ScatterElems),
-            n_loop as u64,
-            "scatter element count off"
-        );
-        assert!(
-            snap.get(Counter::FexpaIssues) >= n_exp.div_ceil(vl) as u64,
-            "FEXPA issue count off"
-        );
-        println!();
+    println!("{:>24}  {:>14}", "counter", "events");
+    for (name, v) in snap.nonzero() {
+        println!("{name:>24}  {v:>14}");
     }
+    // Sanity anchors: the gather/scatter loops move one element per
+    // index, and the FEXPA exp issues one FEXPA per vector.
+    assert_eq!(
+        snap.get(Counter::GatherElems),
+        n_loop as u64,
+        "gather element count off"
+    );
+    assert_eq!(
+        snap.get(Counter::ScatterElems),
+        n_loop as u64,
+        "scatter element count off"
+    );
+    assert!(
+        snap.get(Counter::FexpaIssues) >= n_exp.div_ceil(vl) as u64,
+        "FEXPA issue count off"
+    );
+    println!();
     println!("--- prometheus ---");
-    // The telemetry exposition is a superset of obs::prometheus(): the
-    // same counter gauges plus the region/chunk/barrier histograms.
+    // Counter and span totals plus the region/chunk/barrier histograms.
     print!("{}", ookami_core::telemetry::prometheus());
 
     report

@@ -196,8 +196,8 @@ fn run_derive(args: &[String]) -> ! {
     match ookami_core::obs::derive::derive_bench_doc(&doc, m, threads) {
         Ok(rows) if rows.is_empty() => {
             println!(
-                "{file}: no counter snapshots to derive from (was the probe built \
-                 with --features obs?)"
+                "{file}: no counter snapshots to derive from (was the probe run \
+                 with the obs switch off?)"
             );
             std::process::exit(0);
         }

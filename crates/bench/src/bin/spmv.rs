@@ -16,7 +16,9 @@
 //! 3. **Replay-over-interpreter floors** (full mode only): replaying the
 //!    recorded trace must beat re-interpreting the kernel per block.
 //!
-//! Writes `BENCH_spmv.json` (schema `ookami-bench-v1`). Run with:
+//! Writes `BENCH_spmv.json` (schema `ookami-bench-v1`) with the obs
+//! counters the run produced (the probe switches the obs layer on). Run
+//! with:
 //!
 //! ```text
 //! cargo run -p ookami-bench --release --bin spmv [--smoke]
@@ -56,6 +58,7 @@ fn bits_eq(name: &str, want: &[f64], got: &[f64]) -> bool {
 #[allow(clippy::too_many_lines)]
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
+    obs::set_enabled(true);
     obs::reset();
     let obs_before = obs::snapshot();
     let reps = if smoke { 2 } else { 5 };
@@ -233,7 +236,7 @@ fn main() {
     // Replay-over-interpreter floors: recording once and replaying the
     // fused recipes must clearly beat per-block re-interpretation for the
     // gather-heavy SpMV kernel. STREAM's one-instruction body is the
-    // worst case for the replayer — with obs compiled in, its per-block
+    // worst case for the replayer — with the obs switch on, its per-block
     // counter accounting outweighs the single fused op and the
     // interpreter wins (~0.5x here) — so that floor only guards against
     // a catastrophic slowdown. Only meaningful at full problem size.

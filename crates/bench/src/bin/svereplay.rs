@@ -16,9 +16,9 @@
 //! `--smoke` (CI mode) shrinks the sweep and skips the speedup gates —
 //! shared runners are too noisy for hard perf assertions — but still
 //! enforces every identity check. The full run fails (exit 1) unless
-//! replay is at least 5× the interpreter, and (with obs compiled in, the
-//! configuration the committed baseline records) the compiled path is at
-//! least 5× replay.
+//! replay is at least 5× the interpreter and the compiled path is at
+//! least 5× replay. The probe switches the obs layer on at start, the
+//! configuration the committed baseline records.
 //!
 //! The probe also sweeps both parallel executors over 1/2/4/8 threads and
 //! publishes `replay_par_speedup` / `compiled_par_speedup` (4 threads vs
@@ -135,6 +135,7 @@ fn counter_delta(f: impl FnOnce()) -> ([u64; 13], [u64; 2]) {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
+    obs::set_enabled(true);
     obs::reset();
     let obs_before = obs::snapshot();
     let vl = 8usize;
@@ -174,32 +175,29 @@ fn main() {
         }
         compile_reports.push((format!("{v:?}"), ct.report()));
 
-        // Counter identity across the three executors (vacuous without
-        // obs): the kernel's retired-op totals must not depend on the
-        // execution strategy.
-        if obs::enabled() {
-            let (ci, _) = counter_delta(|| {
-                std::hint::black_box(exp_slice_interp(vl, &xs, v));
-            });
-            let (cr, br) = counter_delta(|| {
-                std::hint::black_box(t.replay_map(&xs));
-            });
-            let (cc, bc) = counter_delta(|| {
-                std::hint::black_box(ct.map(&xs));
-            });
-            for (k, name) in IDENTITY_COUNTERS.iter().enumerate() {
-                if !(ci[k] == cr[k] && cr[k] == cc[k]) {
-                    counters_identical = false;
-                    eprintln!(
-                        "FAIL: {v:?} counter {name}: interp {} / replay {} / compiled {}",
-                        ci[k], cr[k], cc[k]
-                    );
-                }
-            }
-            if br != bc {
+        // Counter identity across the three executors: the kernel's
+        // retired-op totals must not depend on the execution strategy.
+        let (ci, _) = counter_delta(|| {
+            std::hint::black_box(exp_slice_interp(vl, &xs, v));
+        });
+        let (cr, br) = counter_delta(|| {
+            std::hint::black_box(t.replay_map(&xs));
+        });
+        let (cc, bc) = counter_delta(|| {
+            std::hint::black_box(ct.map(&xs));
+        });
+        for (k, name) in IDENTITY_COUNTERS.iter().enumerate() {
+            if !(ci[k] == cr[k] && cr[k] == cc[k]) {
                 counters_identical = false;
-                eprintln!("FAIL: {v:?} byte counters: replay {br:?} vs compiled {bc:?}");
+                eprintln!(
+                    "FAIL: {v:?} counter {name}: interp {} / replay {} / compiled {}",
+                    ci[k], cr[k], cc[k]
+                );
             }
+        }
+        if br != bc {
+            counters_identical = false;
+            eprintln!("FAIL: {v:?} byte counters: replay {br:?} vs compiled {bc:?}");
         }
 
         let mut ctx = SveCtx::new(vl);
@@ -378,16 +376,15 @@ fn main() {
         std::process::exit(1);
     }
     // The compiled floor is calibrated against the obs-on accounting the
-    // committed baseline records; without obs the replayer's fast paths
-    // close part of the gap and the ratio is not comparable.
-    if !smoke && obs::enabled() && compiled_speedup < 5.0 {
+    // committed baseline records.
+    if !smoke && compiled_speedup < 5.0 {
         eprintln!("FAIL: compiled speedup {compiled_speedup:.2}x < 5x over the replayer");
         std::process::exit(1);
     }
     // Parallel-scaling floors are capability-gated: with < 4 host cores
     // the pool runs regions inline (or with too few workers) and a 3x bar
     // would fail for reasons that have nothing to do with the code.
-    if !smoke && obs::enabled() && host_cores >= 4 {
+    if !smoke && host_cores >= 4 {
         if replay_par_speedup < 3.0 {
             eprintln!(
                 "FAIL: replay par4 speedup {replay_par_speedup:.2}x < 3x on a \

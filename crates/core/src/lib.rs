@@ -15,7 +15,7 @@
 //! * [`measure`] — measurement records and fixed-width table / CSV output
 //!   used by every figure regenerator;
 //! * [`obs`] — hardware-counter-style event counters and span timing
-//!   (zero-cost unless built with the `obs` feature), plus the shared
+//!   (off unless switched on with `obs::set_enabled`), plus the shared
 //!   `ookami-bench-v1` JSON report schema every probe binary writes;
 //! * [`timeline`] — lock-free per-thread ring-buffer tracer with a Chrome
 //!   trace-event exporter (span begin/end, pool fork/join/chunk/barrier,

@@ -9,10 +9,13 @@
 //!
 //! Design rules:
 //!
-//! * **Zero cost when disabled.** Without the `obs` cargo feature every
-//!   increment compiles to an empty inline function and [`Region`] is a
-//!   zero-sized guard; call sites stay unconditional. [`enabled`] is a
-//!   `const fn`, so `if obs::enabled()` branches fold away.
+//! * **Off unless switched on.** Counting, spans and the telemetry
+//!   histograms are always compiled in and gated by one process-wide
+//!   relaxed flag, [`enabled`], which starts off; only program code turns
+//!   it on, through [`set_enabled`]. While it is off, [`add`] and
+//!   [`crate::telemetry::record`] return after one relaxed load and
+//!   [`region`] returns an inert guard. Hot loops check the flag once per
+//!   bulk call (compiled engine) or per step (replayer), not per element.
 //! * **Lock-free counting.** Each OS thread owns an atomic counter block
 //!   ([`add`] is one relaxed `fetch_add` on thread-local state); blocks are
 //!   registered once in a global list that [`snapshot`] sums. Blocks of
@@ -26,13 +29,18 @@
 //! * **One schema.** Every probe binary renders its results through
 //!   [`BenchReport`] into the shared `ookami-bench-v1` JSON shape, which
 //!   [`validate_bench_json`] checks with a dependency-free parser (the
-//!   vendored serde is a no-op shim). [`prometheus`] renders the same
-//!   registry as Prometheus text exposition for eyeballing.
+//!   vendored serde is a no-op shim). [`crate::telemetry::prometheus`]
+//!   renders the same registry as Prometheus text exposition.
 
 pub mod derive;
 
+use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 // ---------------------------------------------------------------------
 // Counter taxonomy
@@ -269,261 +277,125 @@ pub struct SpanStat {
 }
 
 // ---------------------------------------------------------------------
-// Enabled implementation
+// Run-time switch and recording state
 // ---------------------------------------------------------------------
 
-#[cfg(feature = "obs")]
-mod imp {
-    use super::{Counter, Snapshot, SpanStat};
-    use parking_lot::Mutex;
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::Instant;
+/// The process-wide switch behind [`enabled`]. Off until program code
+/// calls [`set_enabled`].
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-    struct ThreadCounters {
-        vals: [AtomicU64; Counter::COUNT],
-    }
-
-    impl ThreadCounters {
-        fn new() -> ThreadCounters {
-            ThreadCounters {
-                vals: std::array::from_fn(|_| AtomicU64::new(0)),
-            }
-        }
-    }
-
-    /// All thread blocks ever created; blocks outlive their threads so a
-    /// late [`super::snapshot`] still sees a finished worker's events.
-    static REGISTRY: Mutex<Vec<Arc<ThreadCounters>>> = Mutex::new(Vec::new());
-
-    /// Per-path aggregates: (close count, total ns, counter delta sum).
-    type SpanEntry = (u64, u64, super::Snapshot);
-    static SPANS: Mutex<BTreeMap<String, SpanEntry>> = Mutex::new(BTreeMap::new());
-
-    thread_local! {
-        static LOCAL: Arc<ThreadCounters> = {
-            let block = Arc::new(ThreadCounters::new());
-            REGISTRY.lock().push(Arc::clone(&block));
-            block
-        };
-        /// This thread's open span path ("a/b/c"); owned by Region guards.
-        static SPAN_PATH: RefCell<String> = const { RefCell::new(String::new()) };
-    }
-
-    pub const fn enabled() -> bool {
-        true
-    }
-
-    /// Force this thread's counter block into the registry *now*. Pool
-    /// workers call this at spawn so a snapshot/reset taken before their
-    /// first counted event still covers them deterministically.
-    pub fn register_thread() {
-        LOCAL.with(|_| {});
-    }
-
-    #[inline]
-    pub fn add(c: Counter, n: u64) {
-        if n != 0 {
-            LOCAL.with(|b| b.vals[c.idx()].fetch_add(n, Ordering::Relaxed));
-        }
-    }
-
-    pub fn snapshot() -> Snapshot {
-        let mut s = Snapshot::zero();
-        {
-            let registry = REGISTRY.lock();
-            for block in registry.iter() {
-                for (i, v) in block.vals.iter().enumerate() {
-                    s.vals[i] += v.load(Ordering::Relaxed);
-                }
-            }
-        }
-        // Session-global injected counter (satellite of the telemetry PR):
-        // drop-oldest truncation is surfaced like any other counter.
-        s.set(
-            Counter::TimelineDroppedEvents,
-            crate::timeline::stats().events_dropped,
-        );
-        s
-    }
-
-    pub fn thread_snapshot() -> Snapshot {
-        let mut s = Snapshot::zero();
-        LOCAL.with(|b| {
-            for (i, v) in b.vals.iter().enumerate() {
-                s.vals[i] = v.load(Ordering::Relaxed);
-            }
-        });
-        s
-    }
-
-    pub fn reset() {
-        for block in REGISTRY.lock().iter() {
-            for v in &block.vals {
-                v.store(0, Ordering::Relaxed);
-            }
-        }
-        SPANS.lock().clear();
-        crate::telemetry::reset();
-    }
-
-    /// RAII span guard; see [`super::region`].
-    pub struct Region {
-        start: Instant,
-        /// Global counter snapshot at open; the close accumulates the delta
-        /// into the span's entry.
-        open_snap: super::Snapshot,
-        /// Path length to truncate back to on close.
-        parent_len: usize,
-        /// Regions time their own thread: keep the guard on it.
-        _not_send: std::marker::PhantomData<*const ()>,
-    }
-
-    pub fn region(name: &str) -> Region {
-        let parent_len = SPAN_PATH.with(|p| {
-            let mut p = p.borrow_mut();
-            let parent_len = p.len();
-            if !p.is_empty() {
-                p.push('/');
-            }
-            p.push_str(name);
-            parent_len
-        });
-        crate::timeline::span_begin(name);
-        Region {
-            start: Instant::now(),
-            open_snap: super::snapshot(),
-            parent_len,
-            _not_send: std::marker::PhantomData,
-        }
-    }
-
-    impl Drop for Region {
-        fn drop(&mut self) {
-            let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            let delta = super::snapshot().since(&self.open_snap);
-            SPAN_PATH.with(|p| {
-                let mut p = p.borrow_mut();
-                crate::telemetry::record(crate::telemetry::HistKind::RegionLatencyNs, &p, ns);
-                let entry_path = p.clone();
-                {
-                    let mut spans = SPANS.lock();
-                    let e = spans
-                        .entry(entry_path)
-                        .or_insert((0, 0, super::Snapshot::zero()));
-                    e.0 += 1;
-                    e.1 = e.1.saturating_add(ns);
-                    e.2.accumulate(&delta);
-                }
-                let name = &p[if self.parent_len == 0 {
-                    0
-                } else {
-                    self.parent_len + 1
-                }..];
-                crate::timeline::span_end(name);
-                p.truncate(self.parent_len);
-            });
-        }
-    }
-
-    pub fn spans() -> Vec<SpanStat> {
-        SPANS
-            .lock()
-            .iter()
-            .map(|(path, (count, total_ns, counters))| SpanStat {
-                path: path.clone(),
-                count: *count,
-                total_ns: *total_ns,
-                counters: counters.clone(),
-            })
-            .collect()
-    }
+struct ThreadCounters {
+    vals: [AtomicU64; Counter::COUNT],
 }
 
-// ---------------------------------------------------------------------
-// Disabled implementation (all no-ops; identical public surface)
-// ---------------------------------------------------------------------
+/// All thread blocks ever created; blocks outlive their threads so a late
+/// [`snapshot`] still sees a finished worker's events.
+static REGISTRY: Mutex<Vec<Arc<ThreadCounters>>> = Mutex::new(Vec::new());
 
-#[cfg(not(feature = "obs"))]
-mod imp {
-    use super::{Counter, Snapshot, SpanStat};
+/// Per-path aggregates: (close count, total ns, counter delta sum).
+type SpanEntry = (u64, u64, Snapshot);
+static SPANS: Mutex<BTreeMap<String, SpanEntry>> = Mutex::new(BTreeMap::new());
 
-    pub const fn enabled() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    pub fn register_thread() {}
-
-    #[inline(always)]
-    pub fn add(_c: Counter, _n: u64) {}
-
-    pub fn snapshot() -> Snapshot {
-        Snapshot::zero()
-    }
-
-    pub fn thread_snapshot() -> Snapshot {
-        Snapshot::zero()
-    }
-
-    pub fn reset() {}
-
-    /// Zero-sized no-op guard (the disabled [`super::region`]).
-    pub struct Region {
-        _not_send: std::marker::PhantomData<*const ()>,
-    }
-
-    #[inline(always)]
-    pub fn region(_name: &str) -> Region {
-        Region {
-            _not_send: std::marker::PhantomData,
-        }
-    }
-
-    pub fn spans() -> Vec<SpanStat> {
-        Vec::new()
-    }
+thread_local! {
+    static LOCAL: Arc<ThreadCounters> = {
+        let block = Arc::new(ThreadCounters {
+            vals: std::array::from_fn(|_| AtomicU64::new(0)),
+        });
+        REGISTRY.lock().push(Arc::clone(&block));
+        block
+    };
+    /// This thread's open span path ("a/b/c"); owned by Region guards.
+    static SPAN_PATH: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
-pub use imp::Region;
+/// Whether counters, spans and histograms record: one relaxed load.
+#[inline(always)]
+pub fn enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
+}
 
-/// Whether the `obs` feature is compiled in. `const`, so guards fold away.
-pub const fn enabled() -> bool {
-    imp::enabled()
+/// Switch counters ([`add`]), spans ([`region`]) and the telemetry
+/// histograms on or off for the whole process. Off at start-up; the
+/// probes whose reports carry counters or spans, and the tests that
+/// assert them, turn it on. Regions already open when the switch flips
+/// keep the state they opened with.
+pub fn set_enabled(on: bool) {
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Eagerly create and register this thread's counter block. Threads that
 /// only ever *read* counters need not call this; long-lived worker threads
 /// (the pool) call it at spawn so [`snapshot`]/[`reset`] cover them before
 /// their first counted event.
-#[inline(always)]
 pub fn register_thread() {
-    imp::register_thread();
+    LOCAL.with(|_| {});
 }
 
-/// Add `n` events to counter `c` on this thread (relaxed, lock-free).
-#[inline(always)]
+/// Add `n` events to counter `c` on this thread (relaxed, lock-free); a
+/// no-op while the switch is off.
+#[inline]
 pub fn add(c: Counter, n: u64) {
-    imp::add(c, n);
+    if n != 0 && enabled() {
+        LOCAL.with(|b| b.vals[c.idx()].fetch_add(n, Ordering::Relaxed));
+    }
 }
 
 /// Sum of all threads' counters.
 pub fn snapshot() -> Snapshot {
-    imp::snapshot()
+    let mut s = Snapshot::zero();
+    for block in REGISTRY.lock().iter() {
+        for (i, v) in block.vals.iter().enumerate() {
+            s.vals[i] += v.load(Ordering::Relaxed);
+        }
+    }
+    // Session-global injected counter: drop-oldest truncation is surfaced
+    // like any other counter.
+    s.set(
+        Counter::TimelineDroppedEvents,
+        crate::timeline::stats().events_dropped,
+    );
+    s
 }
 
 /// This thread's counters only — isolation for single-threaded
 /// differential tests running under a parallel test harness.
 pub fn thread_snapshot() -> Snapshot {
-    imp::thread_snapshot()
+    let mut s = Snapshot::zero();
+    LOCAL.with(|b| {
+        for (i, v) in b.vals.iter().enumerate() {
+            s.vals[i] = v.load(Ordering::Relaxed);
+        }
+    });
+    s
 }
 
 /// Zero every thread's counters, clear the span registry, and zero the
 /// telemetry histograms.
 pub fn reset() {
-    imp::reset();
+    for block in REGISTRY.lock().iter() {
+        for v in &block.vals {
+            v.store(0, Ordering::Relaxed);
+        }
+    }
+    SPANS.lock().clear();
+    crate::telemetry::reset();
+}
+
+/// RAII span guard; see [`region`]. Inert if the switch was off when the
+/// span opened.
+pub struct Region {
+    open: Option<OpenRegion>,
+    /// Regions time their own thread: keep the guard on it.
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+struct OpenRegion {
+    start: Instant,
+    /// Global counter snapshot at open; the close accumulates the delta
+    /// into the span's entry.
+    open_snap: Snapshot,
+    /// Path length to truncate back to on close.
+    parent_len: usize,
 }
 
 /// Open a named span; the guard closes it on drop. Nested spans aggregate
@@ -536,44 +408,72 @@ pub fn reset() {
 /// }
 /// ```
 pub fn region(name: &str) -> Region {
-    imp::region(name)
+    if !enabled() {
+        return Region {
+            open: None,
+            _not_send: std::marker::PhantomData,
+        };
+    }
+    let parent_len = SPAN_PATH.with(|p| {
+        let mut p = p.borrow_mut();
+        let parent_len = p.len();
+        if !p.is_empty() {
+            p.push('/');
+        }
+        p.push_str(name);
+        parent_len
+    });
+    crate::timeline::span_begin(name);
+    Region {
+        open: Some(OpenRegion {
+            start: Instant::now(),
+            open_snap: snapshot(),
+            parent_len,
+        }),
+        _not_send: std::marker::PhantomData,
+    }
+}
+
+impl Drop for Region {
+    fn drop(&mut self) {
+        let Some(open) = &self.open else {
+            return;
+        };
+        let ns = open.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let delta = snapshot().since(&open.open_snap);
+        SPAN_PATH.with(|p| {
+            let mut p = p.borrow_mut();
+            crate::telemetry::record(crate::telemetry::HistKind::RegionLatencyNs, &p, ns);
+            {
+                let mut spans = SPANS.lock();
+                let e = spans.entry(p.clone()).or_insert((0, 0, Snapshot::zero()));
+                e.0 += 1;
+                e.1 = e.1.saturating_add(ns);
+                e.2.accumulate(&delta);
+            }
+            let name_at = if open.parent_len == 0 {
+                0
+            } else {
+                open.parent_len + 1
+            };
+            crate::timeline::span_end(&p[name_at..]);
+            p.truncate(open.parent_len);
+        });
+    }
 }
 
 /// All span aggregates, sorted by path.
 pub fn spans() -> Vec<SpanStat> {
-    imp::spans()
-}
-
-/// Render the registry (global counter snapshot + spans) as Prometheus
-/// text exposition.
-pub fn prometheus() -> String {
-    let snap = snapshot();
-    let mut out = String::new();
-    out.push_str("# TYPE ookami_events_total counter\n");
-    for &c in &COUNTERS {
-        let _ = writeln!(
-            out,
-            "ookami_events_total{{counter=\"{}\"}} {}",
-            c.name(),
-            snap.get(c)
-        );
-    }
-    out.push_str("# TYPE ookami_span_seconds_total counter\n");
-    out.push_str("# TYPE ookami_span_count_total counter\n");
-    for s in spans() {
-        let _ = writeln!(
-            out,
-            "ookami_span_seconds_total{{path=\"{}\"}} {:.9}",
-            s.path,
-            s.total_ns as f64 / 1e9
-        );
-        let _ = writeln!(
-            out,
-            "ookami_span_count_total{{path=\"{}\"}} {}",
-            s.path, s.count
-        );
-    }
-    out
+    SPANS
+        .lock()
+        .iter()
+        .map(|(path, (count, total_ns, counters))| SpanStat {
+            path: path.clone(),
+            count: *count,
+            total_ns: *total_ns,
+            counters: counters.clone(),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1114,9 +1014,9 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn add_snapshot_roundtrip_on_this_thread() {
+        set_enabled(true);
         let before = thread_snapshot();
         add(Counter::GatherElems, 7);
         add(Counter::GatherElems, 5);
@@ -1127,9 +1027,9 @@ mod tests {
         assert_eq!(delta.get(Counter::SveInstrs), 0);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn nested_regions_aggregate_under_joined_paths() {
+        set_enabled(true);
         {
             let _a = region("obs_test_outer");
             let _b = region("inner");
@@ -1141,16 +1041,5 @@ mod tests {
         let find = |p: &str| spans.iter().find(|s| s.path == p);
         assert!(find("obs_test_outer").is_some_and(|s| s.count >= 2));
         assert!(find("obs_test_outer/inner").is_some_and(|s| s.count >= 1));
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn disabled_obs_is_zero_cost() {
-        // The guard is a ZST and counting is compiled out entirely.
-        assert_eq!(std::mem::size_of::<Region>(), 0);
-        assert!(!enabled());
-        add(Counter::SveInstrs, 1_000_000);
-        assert_eq!(snapshot().get(Counter::SveInstrs), 0);
-        assert!(spans().is_empty());
     }
 }

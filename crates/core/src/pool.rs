@@ -80,12 +80,9 @@ impl SenseBarrier {
     }
 
     pub fn wait(&self) {
-        // `enabled()` is const, so the timing folds away without `obs`.
-        let start = if obs::enabled() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        // Time the wait only while the obs switch is on: one relaxed load
+        // per arrival otherwise.
+        let start = obs::enabled().then(std::time::Instant::now);
         let my_sense = !self.sense.load(Ordering::Acquire);
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
             // Last arrival: reset for the next phase, then release.
@@ -565,10 +562,10 @@ fn fresh_loop_id() -> u64 {
 }
 
 /// Guard measuring one scheduled chunk: carries the timeline chunk guard
-/// and, when obs is compiled in, feeds the chunk's wall time into the
-/// per-schedule `chunk_duration_ns` telemetry histogram on drop. Without
-/// the `obs` feature `start` is constant `None` (`obs::enabled()` is
-/// `const false`), so both the timing and the drop body fold away.
+/// and, while the obs switch is on, feeds the chunk's wall time into the
+/// per-schedule `chunk_duration_ns` telemetry histogram on drop. With the
+/// switch off at chunk start, `start` is `None`: no clock read, and the
+/// drop body is one branch.
 #[must_use = "hold the guard across the chunk body so its duration is traced"]
 struct ChunkTimer {
     start: Option<std::time::Instant>,
@@ -610,12 +607,7 @@ fn count_chunk(sched: Schedule, loop_id: u64, s: usize, e: usize) -> ChunkTimer 
     obs::add(chunks, 1);
     obs::add(iters, (e - s) as u64);
     ChunkTimer {
-        // `enabled()` is const, so the timing folds away without `obs`.
-        start: if obs::enabled() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        },
+        start: obs::enabled().then(std::time::Instant::now),
         sched: sched_name,
         _timeline: crate::timeline::chunk(name, loop_id, s, e - s),
     }

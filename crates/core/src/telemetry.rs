@@ -7,7 +7,7 @@
 //! observability half of the planned `ookamid` server: everything a
 //! long-running process needs to be observed mid-flight.
 //!
-//! Three layers, mirroring the `obs`/`timeline` design rules:
+//! Three layers, following the `obs`/`timeline` design rules:
 //!
 //! * **Histograms** ([`record`], [`HistSnapshot`]): lock-free per-thread
 //!   log-bucketed (base-2) histograms keyed by `(kind, label)` — per-region
@@ -26,9 +26,9 @@
 //!   `_sum`/`_count`, p50/p90/p99/max gauges) as Prometheus text, with a
 //!   dependency-free validator used by tests and `ookamiserve --selfcheck`.
 //!
-//! Without the `obs` cargo feature, [`record`] is an empty inline function
-//! and [`snapshots`] returns an empty map; [`HistSnapshot`] itself is pure
-//! data and works in both modes (the proptests exercise it feature-free).
+//! [`record`] is gated by the `obs` run-time switch ([`crate::obs::enabled`]),
+//! so with it off nothing is recorded and [`snapshots`] stays empty;
+//! [`HistSnapshot`] itself is pure data and works either way.
 //!
 //! The span-tree profiler lives in [`spantree`]; the HTTP endpoint that
 //! serves all of this lives in [`serve`].
@@ -36,7 +36,8 @@
 pub mod serve;
 pub mod spantree;
 
-use crate::obs::Snapshot;
+use crate::obs::{Snapshot, COUNTERS};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -131,8 +132,7 @@ pub fn bucket_upper(i: usize) -> u64 {
 }
 
 /// A mergeable point-in-time histogram: exact per-bucket counts plus the
-/// running sum and max. Pure data — works with or without the `obs`
-/// feature (recording is what gets compiled out).
+/// running sum and max. Pure data, independent of the `obs` switch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
     counts: [u64; HIST_BUCKETS],
@@ -227,144 +227,106 @@ impl HistSnapshot {
 }
 
 // ---------------------------------------------------------------------
-// Recording (enabled): per-thread atomic blocks, global registry
+// Recording: per-thread atomic blocks, global registry
 // ---------------------------------------------------------------------
 
-#[cfg(feature = "obs")]
-mod himp {
-    use super::{HistKind, HistSnapshot, HIST_BUCKETS};
-    use parking_lot::Mutex;
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+/// One thread's counts for one `(kind, label)` series. Only the owner
+/// writes; readers snapshot with relaxed loads (monotone counters, so a
+/// torn-across-buckets read still under-counts consistently).
+struct HistBlock {
+    counts: [AtomicU64; HIST_BUCKETS],
+    sum: AtomicU64,
+    max: AtomicU64,
+}
 
-    /// One thread's counts for one `(kind, label)` series. Only the owner
-    /// writes; readers snapshot with relaxed loads (monotone counters, so
-    /// a torn-across-buckets read still under-counts consistently).
-    pub(super) struct HistBlock {
-        counts: [AtomicU64; HIST_BUCKETS],
-        sum: AtomicU64,
-        max: AtomicU64,
-    }
-
-    impl HistBlock {
-        fn new() -> HistBlock {
-            HistBlock {
-                counts: std::array::from_fn(|_| AtomicU64::new(0)),
-                sum: AtomicU64::new(0),
-                max: AtomicU64::new(0),
-            }
-        }
-
-        fn observe(&self, v: u64) {
-            self.counts[super::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-
-        fn read(&self) -> HistSnapshot {
-            let mut s = HistSnapshot::new();
-            for (i, c) in self.counts.iter().enumerate() {
-                s.counts[i] = c.load(Ordering::Relaxed);
-            }
-            s.sum = self.sum.load(Ordering::Relaxed);
-            s.max = self.max.load(Ordering::Relaxed);
-            s
-        }
-
-        fn reset(&self) {
-            for c in &self.counts {
-                c.store(0, Ordering::Relaxed);
-            }
-            self.sum.store(0, Ordering::Relaxed);
-            self.max.store(0, Ordering::Relaxed);
+impl HistBlock {
+    fn new() -> HistBlock {
+        HistBlock {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 
-    /// All blocks ever created; blocks outlive their threads so a late
-    /// snapshot still sees a finished worker's observations.
-    #[allow(clippy::type_complexity)]
-    static REGISTRY: Mutex<Vec<((HistKind, String), Arc<HistBlock>)>> = Mutex::new(Vec::new());
-
-    thread_local! {
-        /// This thread's series cache; the registry mutex is touched only
-        /// on first use of a series per thread.
-        static LOCAL: RefCell<BTreeMap<HistKind, BTreeMap<String, Arc<HistBlock>>>> =
-            const { RefCell::new(BTreeMap::new()) };
+    fn observe(&self, v: u64) {
+        self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    pub fn record(kind: HistKind, label: &str, value: u64) {
-        LOCAL.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            let inner = cache.entry(kind).or_default();
-            if let Some(block) = inner.get(label) {
-                block.observe(value);
-                return;
-            }
-            let block = Arc::new(HistBlock::new());
-            REGISTRY
-                .lock()
-                .push(((kind, label.to_string()), Arc::clone(&block)));
-            inner.insert(label.to_string(), Arc::clone(&block));
-            block.observe(value);
-        });
-    }
-
-    pub fn snapshots() -> BTreeMap<(HistKind, String), HistSnapshot> {
-        let mut out: BTreeMap<(HistKind, String), HistSnapshot> = BTreeMap::new();
-        for ((kind, label), block) in REGISTRY.lock().iter() {
-            let snap = block.read();
-            match out.entry((*kind, label.clone())) {
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(&snap),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(snap);
-                }
-            }
+    fn read(&self) -> HistSnapshot {
+        let mut s = HistSnapshot::new();
+        for (i, c) in self.counts.iter().enumerate() {
+            s.counts[i] = c.load(Ordering::Relaxed);
         }
-        out
+        s.sum = self.sum.load(Ordering::Relaxed);
+        s.max = self.max.load(Ordering::Relaxed);
+        s
     }
 
-    pub fn reset() {
-        for (_, block) in REGISTRY.lock().iter() {
-            block.reset();
+    fn reset(&self) {
+        for c in &self.counts {
+            c.store(0, Ordering::Relaxed);
         }
+        self.sum.store(0, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
     }
 }
 
-#[cfg(not(feature = "obs"))]
-mod himp {
-    use super::{HistKind, HistSnapshot};
-    use std::collections::BTreeMap;
+/// All blocks ever created; blocks outlive their threads so a late
+/// snapshot still sees a finished worker's observations.
+#[allow(clippy::type_complexity)]
+static REGISTRY: parking_lot::Mutex<Vec<((HistKind, String), Arc<HistBlock>)>> =
+    parking_lot::Mutex::new(Vec::new());
 
-    #[inline(always)]
-    pub fn record(_kind: HistKind, _label: &str, _value: u64) {}
-
-    pub fn snapshots() -> BTreeMap<(HistKind, String), HistSnapshot> {
-        BTreeMap::new()
-    }
-
-    #[inline(always)]
-    pub fn reset() {}
+thread_local! {
+    /// This thread's series cache; the registry mutex is touched only on
+    /// first use of a series per thread.
+    static LOCAL: RefCell<BTreeMap<HistKind, BTreeMap<String, Arc<HistBlock>>>> =
+        const { RefCell::new(BTreeMap::new()) };
 }
 
 /// Count one observation on this thread's `(kind, label)` series.
-/// Lock-free after the first touch of a series per thread; an empty inline
-/// no-op without the `obs` feature.
-#[inline(always)]
+/// Lock-free after the first touch of a series per thread; a no-op while
+/// [`crate::obs::enabled`] is off.
+#[inline]
 pub fn record(kind: HistKind, label: &str, value: u64) {
-    himp::record(kind, label, value);
+    if !crate::obs::enabled() {
+        return;
+    }
+    LOCAL.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        let inner = cache.entry(kind).or_default();
+        if let Some(block) = inner.get(label) {
+            block.observe(value);
+            return;
+        }
+        let block = Arc::new(HistBlock::new());
+        REGISTRY
+            .lock()
+            .push(((kind, label.to_string()), Arc::clone(&block)));
+        inner.insert(label.to_string(), Arc::clone(&block));
+        block.observe(value);
+    });
 }
 
 /// Merged histogram snapshots across all threads, keyed by
-/// `(kind, label)`. Empty without the `obs` feature.
+/// `(kind, label)`.
 pub fn snapshots() -> BTreeMap<(HistKind, String), HistSnapshot> {
-    himp::snapshots()
+    let mut out: BTreeMap<(HistKind, String), HistSnapshot> = BTreeMap::new();
+    for ((kind, label), block) in REGISTRY.lock().iter() {
+        out.entry((*kind, label.clone()))
+            .or_default()
+            .merge(&block.read());
+    }
+    out
 }
 
 /// Zero every histogram series (called from `obs::reset`).
 pub fn reset() {
-    himp::reset();
+    for (_, block) in REGISTRY.lock().iter() {
+        block.reset();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -432,9 +394,9 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Start sampling. Works in both obs modes (samples are empty-ish
-    /// without the feature, but generations still tick, which is what the
-    /// endpoint contract tests rely on).
+    /// Start sampling. Works whatever the `obs` switch says (samples are
+    /// empty-ish while it is off, but generations still tick, which is what
+    /// the endpoint contract tests rely on).
     pub fn start(period: Duration, retain: usize) -> Sampler {
         let actor = crate::timeline::next_actor_id();
         let shared = Arc::new(SamplerShared {
@@ -590,13 +552,37 @@ fn prom_label_escape(s: &str) -> String {
     out
 }
 
-/// Full Prometheus text exposition: the scalar counter/span rendering from
-/// [`crate::obs::prometheus`] plus histogram exposition (cumulative `le`
+/// Full Prometheus text exposition: the global counter snapshot, span
+/// totals and counts by path, histogram exposition (cumulative `le`
 /// buckets, `_sum`, `_count`) and p50/p90/p99/max quantile gauges for
 /// every histogram series, plus the active sampler's generation. Always
 /// passes [`validate_prometheus`].
 pub fn prometheus() -> String {
-    let mut out = crate::obs::prometheus();
+    let snap = crate::obs::snapshot();
+    let mut out = String::from("# TYPE ookami_events_total counter\n");
+    for &c in &COUNTERS {
+        let _ = writeln!(
+            out,
+            "ookami_events_total{{counter=\"{}\"}} {}",
+            c.name(),
+            snap.get(c)
+        );
+    }
+    out.push_str("# TYPE ookami_span_seconds_total counter\n");
+    out.push_str("# TYPE ookami_span_count_total counter\n");
+    for s in crate::obs::spans() {
+        let path = prom_label_escape(&s.path);
+        let _ = writeln!(
+            out,
+            "ookami_span_seconds_total{{path=\"{path}\"}} {:.9}",
+            s.total_ns as f64 / 1e9
+        );
+        let _ = writeln!(
+            out,
+            "ookami_span_count_total{{path=\"{path}\"}} {}",
+            s.count
+        );
+    }
     let snaps = snapshots();
     for kind in HIST_KINDS {
         let series: Vec<(&String, &HistSnapshot)> = snaps
@@ -920,9 +906,9 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn record_snapshot_roundtrip() {
+        crate::obs::set_enabled(true);
         record(HistKind::SampleInstrs, "telemetry_unit_test", 5);
         record(HistKind::SampleInstrs, "telemetry_unit_test", 9);
         record(HistKind::SampleInstrs, "telemetry_unit_test", 1 << 20);
@@ -939,6 +925,17 @@ mod tests {
             text.contains("ookami_sample_interval_instrs_bucket{engine=\"telemetry_unit_test\"")
         );
         validate_prometheus(&text).expect("exposition with live series validates");
+    }
+
+    #[test]
+    fn span_paths_are_label_escaped() {
+        crate::obs::set_enabled(true);
+        {
+            let _r = crate::obs::region("quote\"back\\slash");
+        }
+        let text = prometheus();
+        assert!(text.contains("ookami_span_count_total{path=\"quote\\\"back\\\\slash\"}"));
+        validate_prometheus(&text).expect("escaped span paths validate");
     }
 
     #[test]

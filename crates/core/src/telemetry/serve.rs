@@ -16,9 +16,9 @@
 //! | `/bench/<name>`        | committed `BENCH_<name>.json`, 404 if absent|
 //!
 //! Every body is generated at request time from the live registries, so a
-//! dashboard polling `/metrics` watches the run move. The server works in
-//! both obs modes — without the feature the documents are just empty-ish
-//! (but still parse, which `ookamiserve --selfcheck` pins in CI).
+//! dashboard polling `/metrics` watches the run move. The server works
+//! whatever the `obs` switch says — with it off the documents are just
+//! empty-ish (but still parse, which `tests/obs_switch_off.rs` pins).
 
 use super::spantree;
 use std::io::{Read, Write};

@@ -274,7 +274,8 @@ pub fn fold(events: &[TimelineEvent], span_stats: &[SpanStat]) -> SpanTree {
 }
 
 /// Fold the *current* timeline session and span registry: what `/profile`
-/// serves. Empty without the `obs` feature or when nothing was recorded.
+/// serves. Empty while the `obs` switch is off or when nothing was
+/// recorded.
 pub fn profile() -> SpanTree {
     fold(&crate::timeline::export_events(), &obs::spans())
 }

@@ -1,8 +1,8 @@
 //! Schedule correctness properties for the worker pool: every schedule
 //! must partition the iteration space exactly — each index visited once,
 //! no overlap, no gap — for arbitrary lengths, thread counts, and chunk
-//! sizes, and (when built with `--features obs`) the chunk/iteration
-//! counters must account for exactly the work dispatched.
+//! sizes, and (with the obs switch on) the chunk/iteration counters must
+//! account for exactly the work dispatched.
 
 use ookami_core::obs::{self, Counter};
 use ookami_core::{par_for_with, par_reduce_with, Schedule};
@@ -44,6 +44,7 @@ proptest! {
         sched in sched_strategy(),
     ) {
         let _g = POOL_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        obs::set_enabled(true);
         let visits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
         let before = obs::snapshot();
         par_for_with(threads, len, sched, |_tid, s, e| {
@@ -55,25 +56,23 @@ proptest! {
             let n = v.load(Ordering::Relaxed);
             prop_assert_eq!(n, 1, "index {} visited {} times", i, n);
         }
-        if obs::enabled() {
-            let d = obs::snapshot().since(&before);
-            let (chunks, iters) = sched_counters(sched);
-            prop_assert_eq!(d.get(iters), len as u64, "iteration counter mismatch");
-            if len > 0 {
-                let c = d.get(chunks);
-                prop_assert!(
-                    (1..=len as u64).contains(&c),
-                    "chunk counter {} out of range for len {}", c, len
-                );
-            }
-            // Work must land on the counters of the schedule that ran it,
-            // not leak onto the other two.
-            for other in [Schedule::Static, Schedule::Dynamic { chunk: 1 }, Schedule::Guided] {
-                let (oc, oi) = sched_counters(other);
-                if oi != sched_counters(sched).1 {
-                    prop_assert_eq!(d.get(oi), 0);
-                    prop_assert_eq!(d.get(oc), 0);
-                }
+        let d = obs::snapshot().since(&before);
+        let (chunks, iters) = sched_counters(sched);
+        prop_assert_eq!(d.get(iters), len as u64, "iteration counter mismatch");
+        if len > 0 {
+            let c = d.get(chunks);
+            prop_assert!(
+                (1..=len as u64).contains(&c),
+                "chunk counter {} out of range for len {}", c, len
+            );
+        }
+        // Work must land on the counters of the schedule that ran it,
+        // not leak onto the other two.
+        for other in [Schedule::Static, Schedule::Dynamic { chunk: 1 }, Schedule::Guided] {
+            let (oc, oi) = sched_counters(other);
+            if oi != sched_counters(sched).1 {
+                prop_assert_eq!(d.get(oi), 0);
+                prop_assert_eq!(d.get(oc), 0);
             }
         }
     }
@@ -88,6 +87,7 @@ proptest! {
         sched in sched_strategy(),
     ) {
         let _g = POOL_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        obs::set_enabled(true);
         let before = obs::snapshot();
         let total = par_reduce_with(
             threads,
@@ -98,11 +98,9 @@ proptest! {
             |a, b| a + b,
         );
         prop_assert_eq!(total, (len as u64 * len.saturating_sub(1) as u64) / 2);
-        if obs::enabled() {
-            let d = obs::snapshot().since(&before);
-            let (_, iters) = sched_counters(sched);
-            prop_assert_eq!(d.get(iters), len as u64);
-        }
+        let d = obs::snapshot().since(&before);
+        let (_, iters) = sched_counters(sched);
+        prop_assert_eq!(d.get(iters), len as u64);
     }
 }
 
@@ -111,9 +109,7 @@ proptest! {
 /// exactly `ceil(len / chunk)` chunks.
 #[test]
 fn dynamic_chunk_count_is_exact() {
-    if !obs::enabled() {
-        return;
-    }
+    obs::set_enabled(true);
     let _g = POOL_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);

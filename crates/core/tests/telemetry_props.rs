@@ -8,7 +8,7 @@
 //!
 //! Everything here is pure-data — [`HistSnapshot`] arithmetic and the
 //! [`spantree::fold`] function take plain slices — so the whole file runs
-//! identically with and without `--features obs`.
+//! identically whatever the obs switch says.
 
 use ookami_core::telemetry::{self, spantree, HistSnapshot};
 use ookami_core::timeline::{EventPayload, TimelineEvent};

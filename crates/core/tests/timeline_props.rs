@@ -4,9 +4,8 @@
 //! `Json` parser, and chunk events account for exactly the iterations the
 //! schedule dispatched.
 //!
-//! The whole file requires `--features obs`: without it the tracer is a
-//! no-op by design (a separate unit test in `timeline.rs` pins that).
-#![cfg(feature = "obs")]
+//! Spans reach the timeline only while the obs switch is on, so every test
+//! here switches it on after taking the session lock.
 
 use ookami_core::obs::{self, Json};
 use ookami_core::{par_for_with, timeline, Schedule};
@@ -117,6 +116,7 @@ proptest! {
         sched in sched_strategy(),
     ) {
         let _g = TL_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        obs::set_enabled(true);
         timeline::start(1 << 14);
         {
             let _outer = obs::region("tlp_region");
@@ -154,6 +154,7 @@ proptest! {
         names in proptest::collection::vec(name_strategy(), 1..8),
     ) {
         let _g = TL_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        obs::set_enabled(true);
         timeline::start(1 << 12);
         fn nest(names: &[String]) {
             if let Some((first, rest)) = names.split_first() {
@@ -184,6 +185,7 @@ proptest! {
     #[test]
     fn drop_oldest_preserves_nesting(spans in 40usize..200, cap in 16usize..64) {
         let _g = TL_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        obs::set_enabled(true);
         timeline::start(cap);
         {
             let _outer = obs::region("tlp_drop_outer");

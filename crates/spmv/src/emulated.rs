@@ -377,17 +377,15 @@ mod tests {
         let m = Crs::ragged(29, 24, 6, 13);
         let x = x_for(m.n_cols);
         let hints = GatherHints::uniform(8);
-        if !obs::enabled() {
-            return;
-        }
-        let t0 = obs::snapshot();
+        obs::set_enabled(true);
+        let t0 = obs::thread_snapshot();
         let _ = run_crs_interp(&m, &x, 8, hints);
-        let crs_elems = obs::snapshot().since(&t0).get(Counter::GatherElems);
+        let crs_elems = obs::thread_snapshot().since(&t0).get(Counter::GatherElems);
         assert_eq!(crs_elems, 3 * m.nnz() as u64);
         let s = SellCSigma::from_crs(&m, 8, 29);
-        let t1 = obs::snapshot();
+        let t1 = obs::thread_snapshot();
         let _ = run_sell_interp(&s, &x, hints);
-        let sell_elems = obs::snapshot().since(&t1).get(Counter::GatherElems);
+        let sell_elems = obs::thread_snapshot().since(&t1).get(Counter::GatherElems);
         assert_eq!(sell_elems, m.nnz() as u64);
     }
 }

@@ -71,16 +71,14 @@ proptest! {
         c in 2usize..9,
         sigma in 1usize..48,
     ) {
-        if !obs::enabled() {
-            return;
-        }
+        obs::set_enabled(true);
         let m = Crs::ragged(n_rows, 24, max_per_row, seed);
         let x = x_for(m.n_cols);
         let s = SellCSigma::from_crs(&m, c, sigma);
         let hints = GatherHints::uniform(c as u32);
-        let t0 = obs::snapshot();
+        let t0 = obs::thread_snapshot();
         std::hint::black_box(run_sell_interp(&s, &x, hints));
-        let got = obs::snapshot().since(&t0).get(Counter::GatherElems);
+        let got = obs::thread_snapshot().since(&t0).get(Counter::GatherElems);
         prop_assert_eq!(got, m.nnz() as u64);
     }
 }

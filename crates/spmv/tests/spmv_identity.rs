@@ -2,7 +2,7 @@
 //! interpreter, the replayer, parallel replay at several worker counts
 //! and (where the trace compiles natively) the compiled closure must all
 //! reproduce the fused scalar reference *bitwise* on arbitrary fixtures
-//! — and, with obs compiled in, with identical counter totals, because
+//! — and, with the obs switch on, with identical counter totals, because
 //! both sides mirror the same binds and the same predicates.
 
 use ookami_core::obs::{self, Counter};
@@ -21,11 +21,12 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// The deterministic model counters an executor accrues over a closure.
+/// The deterministic model counters an executor accrues over a closure
+/// on this thread (concurrent tests count on their own threads).
 fn counted(f: impl FnOnce()) -> Vec<(&'static str, u64)> {
-    let t0 = obs::snapshot();
+    let t0 = obs::thread_snapshot();
     f();
-    obs::snapshot().since(&t0).nonzero()
+    obs::thread_snapshot().since(&t0).nonzero()
 }
 
 proptest! {
@@ -122,9 +123,7 @@ proptest! {
         max_per_row in 0usize..6,
         seed in 0u64..500,
     ) {
-        if !obs::enabled() {
-            return;
-        }
+        obs::set_enabled(true);
         let m = Crs::ragged(n_rows, 24, max_per_row, seed);
         let x = x_for(m.n_cols);
         let hints = GatherHints::uniform(8);

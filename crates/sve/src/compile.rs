@@ -935,9 +935,10 @@ impl Compiled {
             _ => return replay_into(t, ins, out, 0),
         };
         let nfull = n / W;
+        let count = plan.counts_per_chunk();
         let mut g = plan.acquire_state();
         for c in 0..nfull {
-            plan.run_chunk(&mut g.st, ins, &mut out[c * W..(c + 1) * W], c * W);
+            plan.run_chunk(&mut g.st, ins, &mut out[c * W..(c + 1) * W], c * W, count);
         }
         counters::flush(&plan.acct_static, nfull as u64);
         replay_into(t, ins, out, nfull * W);
@@ -956,6 +957,7 @@ impl Compiled {
             }
         };
         let nfull = n / W;
+        let count = plan.counts_per_chunk();
         let mut out = vec![0.0f64; n];
         let base = SendPtr::new(out.as_mut_ptr());
         par_for_with(threads, nfull, Schedule::Static, |_, s, e| {
@@ -964,7 +966,7 @@ impl Compiled {
                 // SAFETY: chunk ranges are disjoint and claimed exactly
                 // once; `out` outlives the region (par_for_with blocks).
                 let chunk = unsafe { base.slice_mut(c * W, W) };
-                plan.run_chunk(&mut g.st, ins, chunk, c * W);
+                plan.run_chunk(&mut g.st, ins, chunk, c * W, count);
             }
         });
         counters::flush(&plan.acct_static, nfull as u64);
@@ -1376,8 +1378,15 @@ impl Plan {
         StateGuard { uid: self.uid, st }
     }
 
-    /// Execute one full 512-lane block starting at element `i`.
-    fn run_chunk(&self, st: &mut State, ins: &[&[f64]], out: &mut [f64], i: usize) {
+    /// Whether [`Plan::run_chunk`] must count the runtime-varying
+    /// accounting entries: read once per bulk call.
+    fn counts_per_chunk(&self) -> bool {
+        !self.acct.is_empty() && obs::enabled()
+    }
+
+    /// Execute one full 512-lane block starting at element `i`; `count`
+    /// comes from [`Plan::counts_per_chunk`].
+    fn run_chunk(&self, st: &mut State, ins: &[&[f64]], out: &mut [f64], i: usize, count: bool) {
         for (k, &slot) in self.inputs.iter().enumerate() {
             let row = &mut st.rows[slot as usize];
             let src = &ins[k][i..i + W];
@@ -1388,7 +1397,7 @@ impl Plan {
         for k in &self.kernels {
             exec_k(k, st, &self.tab);
         }
-        if obs::enabled() && !self.acct.is_empty() {
+        if count {
             self.account(&st.prows);
         }
         let o = &st.rows[self.out as usize];

@@ -1,5 +1,9 @@
-//! obs counter glue shared by the interpreter ([`crate::ctx`]) and the
-//! trace replayer ([`crate::trace`]).
+//! obs counter glue shared by the interpreter ([`crate::ctx`]), the
+//! trace replayer ([`crate::trace`]) and the compiled engine
+//! ([`crate::compile`]). Every entry point that touches the live counters
+//! checks the `obs` run-time switch first, so the caller decides the
+//! check's granularity: per op in the interpreter, per step in the
+//! replayer, per bulk call in the compiled engine ([`flush`]).
 //!
 //! Both executors funnel retired ops through [`bump`], so the *counter
 //! identity* invariant — replaying a traced kernel over a range produces
@@ -31,7 +35,6 @@ use ookami_uarch::{CostTable, OpClass, Width};
 /// small enough that a bench slice produces a usable counter track.
 const SAMPLE_PERIOD: u64 = 16_384;
 
-#[cfg(feature = "obs")]
 thread_local! {
     /// Instructions retired on this thread since the last timeline sample.
     static SINCE_SAMPLE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -46,44 +49,35 @@ thread_local! {
 /// totals are unaffected.
 #[inline]
 fn maybe_sample(instrs: u64) {
-    #[cfg(feature = "obs")]
-    {
-        if !timeline::recording() {
-            return;
-        }
-        let due = SINCE_SAMPLE.with(|s| {
-            let v = s.get() + instrs;
-            if v >= SAMPLE_PERIOD {
-                s.set(0);
-                Some(v)
-            } else {
-                s.set(v);
-                None
-            }
-        });
-        if let Some(interval) = due {
-            let snap = obs::thread_snapshot();
-            for c in [
-                Counter::SveInstrs,
-                Counter::SveLanesActive,
-                Counter::FlopsModel,
-                Counter::BytesLoaded,
-                Counter::FexpaIssues,
-            ] {
-                timeline::counter_sample(c, snap.get(c));
-            }
-            ookami_core::telemetry::record(
-                ookami_core::telemetry::HistKind::SampleInstrs,
-                "sve",
-                interval,
-            );
-        }
+    if !timeline::recording() {
+        return;
     }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = instrs;
-        let _ = SAMPLE_PERIOD;
-        let _ = timeline::recording; // keep the import meaningful without obs
+    let due = SINCE_SAMPLE.with(|s| {
+        let v = s.get() + instrs;
+        if v >= SAMPLE_PERIOD {
+            s.set(0);
+            Some(v)
+        } else {
+            s.set(v);
+            None
+        }
+    });
+    if let Some(interval) = due {
+        let snap = obs::thread_snapshot();
+        for c in [
+            Counter::SveInstrs,
+            Counter::SveLanesActive,
+            Counter::FlopsModel,
+            Counter::BytesLoaded,
+            Counter::FexpaIssues,
+        ] {
+            timeline::counter_sample(c, snap.get(c));
+        }
+        ookami_core::telemetry::record(
+            ookami_core::telemetry::HistKind::SampleInstrs,
+            "sve",
+            interval,
+        );
     }
 }
 

@@ -270,9 +270,11 @@ const IDENTITY_COUNTERS: [Counter; 13] = [
     Counter::FexpaIssues,
 ];
 
-/// Run `f` on this thread and return the per-thread obs counter deltas it
-/// produced, projected onto [`IDENTITY_COUNTERS`].
+/// Switch the obs layer on, run `f` on this thread and return the
+/// per-thread obs counter deltas it produced, projected onto
+/// [`IDENTITY_COUNTERS`].
 fn counter_delta(f: impl FnOnce()) -> [u64; IDENTITY_COUNTERS.len()] {
+    obs::set_enabled(true);
     let before = obs::thread_snapshot();
     f();
     let delta = obs::thread_snapshot().since(&before);
@@ -310,8 +312,7 @@ proptest! {
         }
     }
 
-    /// Counter identity (needs `--features obs`, vacuous otherwise): the
-    /// obs totals from replaying a traced kernel over a range are exactly
+    /// Counter identity (with the obs switch on): the obs totals from replaying a traced kernel over a range are exactly
     /// the totals from interpreting it — same retired instructions, same
     /// active lanes, same candidate-port pressure, same gather/FEXPA
     /// element counts — for arbitrary programs, vector lengths, and ragged
@@ -326,24 +327,22 @@ proptest! {
         ),
         prog in prop::collection::vec(op_strategy(), 1..14),
     ) {
-        if obs::enabled() {
-            let interp = counter_delta(|| {
-                let _ = interp_map(vl, &xs, &prog);
-            });
-            let t = Trace::record1(vl, |ctx, pg, x| run_program(ctx, pg, x, &prog));
-            let replay = counter_delta(|| {
-                let _ = t.map(&xs);
-            });
-            for (i, (&a, &b)) in interp.iter().zip(replay.iter()).enumerate() {
-                prop_assert_eq!(
-                    a, b,
-                    "counter {} differs: interp {} vs replay {} (vl={}, n={})",
-                    IDENTITY_COUNTERS[i].name(), a, b, vl, xs.len()
-                );
-            }
-            // A nonempty program over a nonempty range must retire work.
-            prop_assert!(interp[0] > 0, "no instructions counted");
+        let interp = counter_delta(|| {
+            let _ = interp_map(vl, &xs, &prog);
+        });
+        let t = Trace::record1(vl, |ctx, pg, x| run_program(ctx, pg, x, &prog));
+        let replay = counter_delta(|| {
+            let _ = t.map(&xs);
+        });
+        for (i, (&a, &b)) in interp.iter().zip(replay.iter()).enumerate() {
+            prop_assert_eq!(
+                a, b,
+                "counter {} differs: interp {} vs replay {} (vl={}, n={})",
+                IDENTITY_COUNTERS[i].name(), a, b, vl, xs.len()
+            );
         }
+        // A nonempty program over a nonempty range must retire work.
+        prop_assert!(interp[0] > 0, "no instructions counted");
     }
 
     /// Parallel replay over the worker pool is the same bits as serial
@@ -442,8 +441,8 @@ proptest! {
         }
     }
 
-    /// Counter identity for the compiled engine (needs `--features obs`,
-    /// vacuous otherwise): block-scaled accounting over the *original*
+    /// Counter identity for the compiled engine (with the obs switch on):
+    /// block-scaled accounting over the *original*
     /// body must reproduce the replayer's per-op totals exactly — dead or
     /// folded ops included — so `compiled == replayer == interpreter`
     /// holds for counters, not just bits. Byte counters are included
@@ -457,37 +456,35 @@ proptest! {
         ),
         prog in prop::collection::vec(op_strategy(), 1..14),
     ) {
-        if obs::enabled() {
-            let t = Trace::record1(vl, |ctx, pg, x| run_program(ctx, pg, x, &prog));
-            let ct = t.compile();
-            let replay = counter_delta(|| {
-                let _ = t.replay_map(&xs);
-            });
-            let compiled = counter_delta(|| {
-                let _ = ct.map(&xs);
-            });
-            for (i, (&a, &b)) in replay.iter().zip(compiled.iter()).enumerate() {
-                prop_assert_eq!(
-                    a, b,
-                    "counter {} differs: replay {} vs compiled {} (vl={}, n={}, native={})",
-                    IDENTITY_COUNTERS[i].name(), a, b, vl, xs.len(), ct.is_native()
-                );
-            }
-            let bytes = |f: &dyn Fn()| {
-                let before = obs::thread_snapshot();
-                f();
-                obs::thread_snapshot().since(&before).get(Counter::BytesLoaded)
-            };
-            let rb = bytes(&|| {
-                let _ = t.replay_map(&xs);
-            });
-            let cb = bytes(&|| {
-                let _ = ct.map(&xs);
-            });
-            prop_assert_eq!(rb, cb, "BytesLoaded (vl={}, n={})", vl, xs.len());
-            // Both stage 8·n input bytes; gathers may add table reads on top.
-            prop_assert!(rb >= 8 * xs.len() as u64);
+        let t = Trace::record1(vl, |ctx, pg, x| run_program(ctx, pg, x, &prog));
+        let ct = t.compile();
+        let replay = counter_delta(|| {
+            let _ = t.replay_map(&xs);
+        });
+        let compiled = counter_delta(|| {
+            let _ = ct.map(&xs);
+        });
+        for (i, (&a, &b)) in replay.iter().zip(compiled.iter()).enumerate() {
+            prop_assert_eq!(
+                a, b,
+                "counter {} differs: replay {} vs compiled {} (vl={}, n={}, native={})",
+                IDENTITY_COUNTERS[i].name(), a, b, vl, xs.len(), ct.is_native()
+            );
         }
+        let bytes = |f: &dyn Fn()| {
+            let before = obs::thread_snapshot();
+            f();
+            obs::thread_snapshot().since(&before).get(Counter::BytesLoaded)
+        };
+        let rb = bytes(&|| {
+            let _ = t.replay_map(&xs);
+        });
+        let cb = bytes(&|| {
+            let _ = ct.map(&xs);
+        });
+        prop_assert_eq!(rb, cb, "BytesLoaded (vl={}, n={})", vl, xs.len());
+        // Both stage 8·n input bytes; gathers may add table reads on top.
+        prop_assert!(rb >= 8 * xs.len() as u64);
     }
 
     /// Scatter: replays write into the captured working table exactly as
@@ -644,9 +641,7 @@ fn everything_kernel_replays_bit_identically() {
 /// contributes, across ragged tails at several vector lengths.
 #[test]
 fn everything_kernel_counters_match_interpreter() {
-    if !obs::enabled() {
-        return;
-    }
+    obs::set_enabled(true);
     for vl in [1usize, 3, 8] {
         let xs: Vec<f64> = (0..101).map(|i| (i as f64 - 50.0) * 0.73).collect();
         let interp = counter_delta(|| {
@@ -691,9 +686,7 @@ fn everything_kernel_counters_match_interpreter() {
 /// [`scatter_replay_matches_interpreter`]).
 #[test]
 fn scatter_counters_match_interpreter() {
-    if !obs::enabled() {
-        return;
-    }
+    obs::set_enabled(true);
     for vl in [1usize, 3, 8] {
         let n = 41usize;
         let idx: Vec<i64> = (0..n).map(|i| (i * 7 % 32) as i64).collect();

@@ -9,20 +9,18 @@ export RUSTFLAGS="-D warnings"
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
-echo "== cargo clippy (deny warnings, both obs modes)"
+echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
-cargo clippy --workspace --all-targets --features obs -- -D warnings
 
 echo "== tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "== test suite again with the obs counter layer compiled in"
-cargo test -q --features obs
-
-echo "== per-crate test suites, both obs modes (timeline/schedule proptests live here)"
+echo "== per-crate test suites (timeline/schedule proptests live here)"
+# The obs layer is switched at run time: tests that assert counters,
+# spans or histograms switch it on themselves, and tests/obs_switch_off.rs
+# pins the off state in a binary of its own.
 cargo test -q --workspace
-cargo test -q --workspace --features obs
 
 echo "== criterion benches compile"
 cargo bench --no-run
@@ -33,55 +31,49 @@ baseline_dir="$(mktemp -d)"
 trap 'rm -rf "$baseline_dir"' EXIT
 cp BENCH_*.json "$baseline_dir"/
 
-echo "== trace-replay + compiled-trace identity smoke (svereplay --smoke, both obs modes)"
-# The probe drives interpreter, replayer, and the compiled native path and
-# asserts bit/instruction identity in both builds; with obs it additionally
-# asserts exact counter identity across all three executors. Each run also
-# rewrites target/COMPILE_REPORT.json (pass-pipeline stats per variant).
+echo "== trace-replay + compiled-trace identity smoke (svereplay --smoke)"
+# The probe switches obs on, drives interpreter, replayer, and the compiled
+# native path and asserts bit, instruction and exact counter identity
+# across all three executors. It also rewrites target/COMPILE_REPORT.json
+# (pass-pipeline stats per variant).
 cargo run -p ookami-bench --bin svereplay --release -- --smoke
-cargo run -p ookami-bench --features obs --bin svereplay --release -- --smoke
 
-echo "== sharded cache-sim identity smoke (cachesim --smoke, both obs modes)"
+echo "== sharded cache-sim identity smoke (cachesim --smoke)"
 # Serial CacheSim vs ShardedCacheSim (serial dispatch and pool-parallel at
 # several thread counts) must agree exactly on both machine geometries.
 cargo run -p ookami-bench --bin cachesim --release -- --smoke
-cargo run -p ookami-bench --features obs --bin cachesim --release -- --smoke
 
-echo "== irregular-memory family smoke (spmv --smoke, both obs modes)"
+echo "== irregular-memory family smoke (spmv --smoke)"
 # CRS/SELL-C-σ/STREAM/stencil executors must stay bit-identical to their
 # fused scalar references, and the ECM model must keep attributing the
 # CRS family bandwidth_bound on the A64FX descriptor.
 cargo run -p ookami-bench --bin spmv --release -- --smoke
-cargo run -p ookami-bench --features obs --bin spmv --release -- --smoke
 
-echo "== counter-layer smoke (ookamistat --smoke, obs on) + trace + schema check"
-cargo run -p ookami-bench --features obs --bin ookamistat --release -- --smoke --trace target/trace.json
+echo "== counter-layer smoke (ookamistat --smoke) + trace + schema check"
+cargo run -p ookami-bench --bin ookamistat --release -- --smoke --trace target/trace.json
 cargo run -p ookami-bench --bin report --release -- --validate BENCH_obs.json
 
-echo "== span-tree profiler smoke (ookamiprof --smoke, both obs modes)"
-# With obs the probe asserts histogram counts, span-tree counts, and the
-# 13 deterministic counters agree across interpreter/replayer/compiled,
-# and exports the collapsed flamegraph stacks; without obs it must still
-# produce a schema-valid report from the no-op telemetry layer.
+echo "== span-tree profiler smoke (ookamiprof --smoke)"
+# The probe asserts histogram counts, span-tree counts, and the 13
+# deterministic counters agree across interpreter/replayer/compiled, and
+# exports the collapsed flamegraph stacks.
 cargo run -p ookami-bench --bin ookamiprof --release -- --smoke
-cargo run -p ookami-bench --features obs --bin ookamiprof --release -- --smoke
 cargo run -p ookami-bench --bin report --release -- --validate BENCH_prof.json
 test -s target/PROFILE.collapsed
 
-echo "== live HTTP endpoint selfcheck (ookamiserve --selfcheck, both obs modes)"
+echo "== live HTTP endpoint selfcheck (ookamiserve --selfcheck)"
 # Binds an ephemeral port, runs a bounded workload, and validates every
 # endpoint (/metrics /profile /trace /samples /bench/<name>) with the
 # in-repo Prometheus/Json/collapsed-stack parsers over real HTTP.
 cargo run -p ookami-bench --bin ookamiserve --release -- --selfcheck --smoke
-cargo run -p ookami-bench --features obs --bin ookamiserve --release -- --selfcheck --smoke
 
 echo "== bench-trajectory gate (benchdiff vs committed baselines)"
-cargo run -p ookami-bench --features obs --bin benchdiff --release -- \
+cargo run -p ookami-bench --bin benchdiff --release -- \
   --baseline "$baseline_dir" --current . --out target/BENCHDIFF.json
 # Self-test: an injected synthetic regression must trip the gate (exit 1)
 # and --explain must rank the counter deltas that caused it.
 inject_out="$(mktemp)"
-if cargo run -p ookami-bench --features obs --bin benchdiff --release -- \
+if cargo run -p ookami-bench --bin benchdiff --release -- \
   --baseline "$baseline_dir" --current . --out target/BENCHDIFF.inject.json \
   --inject-regression --explain >"$inject_out" 2>&1; then
   echo "benchdiff failed to flag an injected regression" >&2
@@ -99,25 +91,23 @@ rm -f "$inject_out"
 # full-mode baselines with their small-problem numbers.
 cp "$baseline_dir"/BENCH_*.json .
 
-echo "== static verifier + mutation corpus (ookamicheck, both obs modes)"
+echo "== static verifier + mutation corpus + race gate (ookamicheck)"
+# Also replays recorded timeline events from the shipped pool kernels
+# through the race detector and requires zero races.
 cargo run -p ookami-bench --bin ookamicheck --release -- \
   --mutations --json target/OOKAMICHECK.json
-cargo run -p ookami-bench --features obs --bin ookamicheck --release -- \
-  --mutations --json target/OOKAMICHECK.obs.json
 cargo run -p ookami-bench --bin report --release -- \
-  --validate target/OOKAMICHECK.json target/OOKAMICHECK.obs.json
+  --validate target/OOKAMICHECK.json
 
-echo "== translation validator (ookamicheck --tv, both obs modes)"
+echo "== translation validator (ookamicheck --tv)"
 # Proves every family trace pass-by-pass through the compiler pipeline
 # (abstract-domain equivalence, bounds re-proof, counter recipes) and
 # runs the 24-seed mutation self-test; the report schema is validated
 # like every other artifact.
 cargo run -p ookami-bench --bin ookamicheck --release -- \
   --tv --json target/OOKAMICHECK.tv.json
-cargo run -p ookami-bench --features obs --bin ookamicheck --release -- \
-  --tv --json target/OOKAMICHECK.tv.obs.json
 cargo run -p ookami-bench --bin report --release -- \
-  --validate target/OOKAMICHECK.tv.json target/OOKAMICHECK.tv.obs.json
+  --validate target/OOKAMICHECK.tv.json
 # Self-test: a trail with a tampered stage and a bumped static counter
 # must both be flagged (exit 1).
 if cargo run -p ookami-bench --bin ookamicheck --release -- \
@@ -126,18 +116,15 @@ if cargo run -p ookami-bench --bin ookamicheck --release -- \
   exit 1
 fi
 
-echo "== race detector over real pool kernels (obs timeline) + inject self-test"
-# Under obs the binary replays recorded timeline events from the shipped
-# kernels and requires zero races; without obs it prints a SKIPPED notice.
-cargo run -p ookami-bench --features obs --bin ookamicheck --release
+echo "== race detector inject self-tests"
 # Self-test: the injected unordered-write stream must be flagged (exit 1).
-if cargo run -p ookami-bench --features obs --bin ookamicheck --release -- \
+if cargo run -p ookami-bench --bin ookamicheck --release -- \
   --inject-race >/dev/null 2>&1; then
   echo "ookamicheck failed to flag the injected race" >&2
   exit 1
 fi
 # Same for the telemetry-actor stream: two unordered sampler-slot writes.
-if cargo run -p ookami-bench --features obs --bin ookamicheck --release -- \
+if cargo run -p ookami-bench --bin ookamicheck --release -- \
   --inject-sampler-race >/dev/null 2>&1; then
   echo "ookamicheck failed to flag the injected sampler race" >&2
   exit 1

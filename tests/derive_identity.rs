@@ -10,10 +10,8 @@
 //! shares, roofline placement, attributed bottleneck — agrees to the last
 //! mantissa bit for the same wall-clock window.
 //!
-//! Runs in both feature modes: without `obs` both snapshots are zero and
-//! the identity is trivial (but the derive path still must not panic);
-//! with `--features obs` the counters are real and the test also asserts
-//! the workload actually retired SVE instructions.
+//! The test switches the obs layer on, so the counters are real, and also
+//! asserts the workload actually retired SVE instructions.
 
 use ookami_core::obs::{self, derive::derive, Counter, Snapshot};
 use ookami_uarch::machines;
@@ -51,6 +49,7 @@ fn bits(d: &obs::derive::Derived) -> Vec<u64> {
 
 #[test]
 fn derived_metrics_bit_identical_across_executors() {
+    obs::set_enabled(true);
     let vl = 8;
     let n = 4_096;
     let xs: Vec<f64> = (0..n)
@@ -96,14 +95,12 @@ fn derived_metrics_bit_identical_across_executors() {
         assert_eq!(d_interp.bottleneck, d_replay.bottleneck);
     }
 
-    if obs::enabled() {
-        assert!(
-            snap_interp.get(Counter::SveInstrs) > 0,
-            "obs build must observe real SVE retirement"
-        );
-        assert!(
-            snap_interp.get(Counter::FexpaIssues) >= (n / vl) as u64,
-            "FEXPA exp must issue one FEXPA per vector"
-        );
-    }
+    assert!(
+        snap_interp.get(Counter::SveInstrs) > 0,
+        "obs must observe real SVE retirement"
+    );
+    assert!(
+        snap_interp.get(Counter::FexpaIssues) >= (n / vl) as u64,
+        "FEXPA exp must issue one FEXPA per vector"
+    );
 }

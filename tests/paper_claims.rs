@@ -152,14 +152,12 @@ fn library_maturity_ratios() {
 /// Fig. 1's gather and scatter loops move exactly one element per
 /// iteration — checked through the obs hardware-counter layer rather than
 /// by inspecting results, the way one would confirm it with `perf` on the
-/// real machine. Vacuous unless built with `--features obs`.
+/// real machine.
 #[test]
 fn fig1_gather_scatter_element_counts() {
     use ookami::core::obs::{self, Counter};
     use ookami::loops::{emulated, LoopSuite};
-    if !obs::enabled() {
-        return;
-    }
+    obs::set_enabled(true);
     let n = 512;
     let m = machines::a64fx();
     for vl in [4usize, 8] {
@@ -193,15 +191,12 @@ fn fig1_gather_scatter_element_counts() {
 
 /// Table I: the Fujitsu-style exp issues exactly one FEXPA per vector of
 /// elements — `ceil(n / vl)` issues over a range — while the portable
-/// polynomial variant never touches the instruction. Vacuous unless built
-/// with `--features obs`.
+/// polynomial variant never touches the instruction.
 #[test]
 fn table1_fexpa_issue_counts() {
     use ookami::core::obs::{self, Counter};
     use ookami::vecmath::{exp_trace, ExpVariant};
-    if !obs::enabled() {
-        return;
-    }
+    obs::set_enabled(true);
     let xs: Vec<f64> = (0..1001).map(|i| (i as f64 - 500.0) * 0.01).collect();
     for vl in [3usize, 8] {
         let t = exp_trace(vl, ExpVariant::FexpaEstrin);
