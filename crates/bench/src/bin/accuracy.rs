@@ -3,26 +3,33 @@
 //! schema (max/mean ulp per implementation, plus the obs counters the
 //! emulated sweeps produced: the probe switches the obs layer on).
 
-use ookami_core::obs;
+use ookami_bench::probe;
+
+const CLI: probe::Cli = probe::Cli {
+    help: "accuracy — ulp accuracy study of every exp/log/sin implementation\n\
+           \n\
+           usage: accuracy\n\
+           \n\
+           writes BENCH_accuracy.json",
+    switches: &[],
+    options: &[],
+    max_positional: 0,
+};
 
 fn main() {
-    obs::set_enabled(true);
-    obs::reset();
-    let obs_before = obs::snapshot();
+    CLI.from_env();
+    let mut run = probe::Run::start("accuracy", "full", true, "BENCH_accuracy.json");
     let rows = ookami_bench::accuracy::accuracy_study();
     print!("{}", ookami_bench::accuracy::render_rows(&rows));
 
-    let mut report = obs::BenchReport::new("accuracy", "full");
     for r in &rows {
         let key = format!("{} {}", r.function, r.implementation);
-        report.metric(&format!("max_ulp {key}"), r.acc.max_ulp as f64);
-        report.metric(&format!("mean_ulp {key}"), r.acc.mean_ulp);
+        run.report
+            .metric(&format!("max_ulp {key}"), r.acc.max_ulp as f64)
+            .metric(&format!("mean_ulp {key}"), r.acc.mean_ulp);
     }
-    report
-        .metric("implementations", rows.len() as f64)
-        .attach_obs(&obs::snapshot().since(&obs_before));
-    report
-        .write("BENCH_accuracy.json")
-        .expect("write BENCH_accuracy.json");
-    println!("wrote BENCH_accuracy.json");
+    run.report.metric("implementations", rows.len() as f64);
+    if !run.finish() {
+        std::process::exit(1);
+    }
 }

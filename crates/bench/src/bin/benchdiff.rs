@@ -3,7 +3,7 @@
 //! nonzero when a gated result regressed.
 //!
 //! ```text
-//! benchdiff --baseline <dir> --current <dir> [--tol 0.5] [--out BENCHDIFF.json]
+//! benchdiff --baseline <dir> --current <dir> [--out BENCHDIFF.json]
 //! ```
 //!
 //! Both sides are schema-validated (`ookami-bench-v1`) before any
@@ -17,21 +17,14 @@
 //!    they carry the ECM model's bound attributions (`bandwidth_bound` vs
 //!    `core_bound`), which are deterministic claims about the machine
 //!    model, so any flip is a model change.
-//! 2. **Absolute floors** (full-mode current files only): `speedup ≥ 5`
-//!    (trace replay vs interpreter) and `ratio_at_8 ≥ 5` (pool vs
-//!    spawn-per-region) — the repo's standing perf acceptance bars — plus
-//!    the lower irregular-family bars `spmv_replay_speedup ≥ 1.2` and
-//!    `stream_replay_speedup ≥ 0.4`; when
-//!    the current run also has obs, `compiled_speedup ≥ 5` (compiled
-//!    closures vs the accounting-carrying replayer). Smoke runs shrink
-//!    the problem until fixed costs dominate, which is exactly why the
-//!    probes themselves only enforce these bars in full mode.
-//!    Parallel-scaling floors (`replay_par_speedup` / `compiled_par_speedup`
-//!    ≥ 3, `cachesim_par_speedup` ≥ 2) are additionally
-//!    **capability-gated** on the current file's `host_cores` metric: a
-//!    probe run on a box with fewer than 4 cores records ratios near 1.0
-//!    by construction (the pool clamps its worker count), so the floors
-//!    only apply where the host can actually scale.
+//! 2. **Perf limits** (full-mode current files only): every floor and
+//!    ceiling of [`ookami_bench::probe::LIMITS`], the same table the
+//!    probes enforce at exit. Smoke runs shrink the problem until fixed
+//!    costs dominate, which is why only full runs are judged. Parallel
+//!    bars are **capability-gated** on the current file's `host_cores`: a
+//!    probe run on a box with fewer cores records ratios near 1.0 by
+//!    construction (the pool clamps its worker count), so those bars only
+//!    apply where the host can actually scale.
 //! 3. **Matched-mode gates** (only when `mode` and `obs_enabled` agree, so
 //!    smoke CI runs are never judged against full-mode baselines):
 //!    `max_ulp*` metrics may not increase (accuracy is deterministic), the
@@ -40,41 +33,58 @@
 //!    and time-like metrics are pooled into a noise-aware verdict: the
 //!    relative deltas of all time metrics in a file feed
 //!    [`ookami_core::Stats`], and only a *systematic* slowdown (mean delta
-//!    above `--tol` and above one standard deviation of the deltas) fails,
+//!    above [`TOL`] and above one standard deviation of the deltas) fails,
 //!    so one noisy metric on a loaded CI box cannot trip the gate.
 //!
 //! `--inject-regression` degrades the current set in memory (times ×10,
-//! rates ÷10, correctness flags flipped) to prove the gate trips; CI runs
-//! it as a self-test.
+//! rates and floor metrics ÷10, ceiling metrics ×10, correctness flags
+//! flipped) to prove the gate trips; CI runs it as a self-test.
 //! Exit codes: 0 pass, 1 regression, 2 usage/schema error.
 
-use ookami_core::obs::{self, Json};
+use ookami_bench::probe::{self, num_metrics, Direction, BYTE_COUNTERS, IDENTITY_COUNTERS, LIMITS};
+use ookami_core::obs::{self, Counter, Json};
 use ookami_core::Stats;
 use std::collections::BTreeMap;
 
-/// Counters whose values are deterministic functions of the executed
-/// kernels (execution-strategy- and timing-independent), gated for exact
-/// equality when modes match. Scheduling/timing counters (barrier waits,
-/// guided chunk splits, forked-vs-inline region counts) are excluded: they
-/// legitimately vary with machine load and core count.
-const EXACT_COUNTERS: [&str; 16] = [
-    "port_fla",
-    "port_flb",
-    "port_pr",
-    "port_exa",
-    "port_exb",
-    "port_eaga",
-    "port_eagb",
-    "port_br",
-    "sve_instrs",
-    "sve_lanes_active",
-    "bytes_loaded",
-    "bytes_stored",
-    "gather_elems",
-    "scatter_elems",
-    "fexpa_issues",
-    "model_flops",
-];
+const CLI: probe::Cli = probe::Cli {
+    help: "benchdiff — compare current BENCH_*.json files against committed baselines\n\
+           \n\
+           usage: benchdiff --baseline <dir> --current <dir> [options]\n\
+           \n\
+           options:\n\
+           \x20 --out <path>         write the machine-readable verdict JSON here\n\
+           \x20                      (default BENCHDIFF.json)\n\
+           \x20 --inject-regression  degrade the current set in memory (times x10,\n\
+           \x20                      rates and floor metrics /10, ceiling metrics\n\
+           \x20                      x10, counters x2, flags flipped) — self-test\n\
+           \x20                      that the gate trips\n\
+           \x20 --explain            when a file regresses, print its top counter\n\
+           \x20                      deltas vs baseline (largest relative change\n\
+           \x20                      first) to point at the behavioral cause\n\
+           \x20 --help               this text\n\
+           \n\
+           exit: 0 pass · 1 regression · 2 usage or schema error",
+    switches: &["--inject-regression", "--explain"],
+    options: &["--baseline", "--current", "--out"],
+    max_positional: 0,
+};
+
+/// Systematic-slowdown tolerance of the pooled time gate (relative).
+const TOL: f64 = 0.5;
+
+/// The counters whose values are deterministic functions of the executed
+/// kernels (execution-strategy- and timing-independent): the executor
+/// identity counters, the byte counters and the model FLOPs, gated for
+/// exact equality when modes match. Scheduling/timing counters (barrier
+/// waits, guided chunk splits, forked-vs-inline region counts) are
+/// excluded: they legitimately vary with machine load and core count.
+fn exact_counters() -> impl Iterator<Item = &'static str> {
+    IDENTITY_COUNTERS
+        .iter()
+        .chain(&BYTE_COUNTERS)
+        .chain(&[Counter::FlopsModel])
+        .map(|c| c.name())
+}
 
 /// Flags that encode correctness invariants: baseline `"true"` must hold.
 const GATED_FLAGS: [&str; 3] = ["bit_identical", "instr_streams_identical", "gate"];
@@ -85,90 +95,8 @@ const GATED_FLAGS: [&str; 3] = ["bit_identical", "instr_streams_identical", "gat
 /// about the machine model, so a flip is a model change, never noise).
 const PINNED_FLAG_PREFIX: &str = "ecm_";
 
-/// `(metric, floor)` pairs gated whenever the current file is a full run.
-/// The replay-over-interpreter floors for the irregular-memory families
-/// are deliberately lower than the dense-loop `speedup` bar: SpMV replay
-/// rebinds three gather streams per block, and STREAM's one-op body is
-/// the replayer's worst case — with obs on, per-block counter accounting
-/// outweighs the single fused op and the interpreter wins (~0.5x), so
-/// that floor is a catastrophic-slowdown guard only.
-const ABSOLUTE_FLOORS: [(&str, f64); 4] = [
-    ("speedup", 5.0),
-    ("ratio_at_8", 5.0),
-    ("spmv_replay_speedup", 1.2),
-    ("stream_replay_speedup", 0.4),
-];
-
-/// `(metric, floor)` pairs additionally gated on full runs **with obs**:
-/// the compiled-vs-replay bar is defined against the replayer carrying its
-/// per-block accounting — without obs both sides shed different amounts of
-/// bookkeeping and the ratio measures something else (the `svereplay`
-/// probe enforces the same split).
-const ABSOLUTE_FLOORS_OBS: [(&str, f64); 1] = [("compiled_speedup", 5.0)];
-
-/// `(metric, ceiling)` pairs gated on full runs **with obs**, tripping
-/// when the value rises *above* the bar: `prof_overhead_ratio` is the
-/// `ookamiprof` probe's profiled-vs-bare wall-time ratio for the same
-/// compiled workload, so a blowout means the region/timeline/histogram
-/// path stopped being cheap — the observability layer became the
-/// workload. The bar is deliberately loose (5×) because the probe's
-/// per-rep work shrinks in smoke mode; only full runs are gated.
-const ABSOLUTE_CEILINGS_OBS: [(&str, f64); 1] = [("prof_overhead_ratio", 5.0)];
-
 /// How many counter deltas `--explain` prints per regressed file.
 const EXPLAIN_TOP_N: usize = 5;
-
-/// `(metric, floor, needs_obs)` triples gated on full runs whose
-/// **current** file reports `host_cores ≥ PAR_FLOOR_MIN_CORES`: parallel
-/// speedups are only meaningful where the pool has real workers. The two
-/// trace-engine floors carry the same obs caveat as `compiled_speedup`
-/// (the bars are calibrated against the accounting-carrying serial
-/// paths); the cache-sim floor is obs-independent (the simulator does no
-/// per-lane accounting).
-const PAR_FLOORS: [(&str, f64, bool); 3] = [
-    ("replay_par_speedup", 3.0, true),
-    ("compiled_par_speedup", 3.0, true),
-    ("cachesim_par_speedup", 2.0, false),
-];
-
-/// Minimum `host_cores` for the parallel floors to apply.
-const PAR_FLOOR_MIN_CORES: f64 = 4.0;
-
-fn usage(code: i32) -> ! {
-    println!(
-        "benchdiff — compare current BENCH_*.json files against committed baselines\n\
-         \n\
-         usage: benchdiff --baseline <dir> --current <dir> [options]\n\
-         \n\
-         options:\n\
-           --tol <x>            systematic-slowdown tolerance for time metrics\n\
-                                when modes match (relative, default 0.5)\n\
-           --out <path>         write the machine-readable verdict JSON here\n\
-                                (default BENCHDIFF.json)\n\
-           --inject-regression  degrade the current set in memory (times x10,\n\
-                                rates /10, overhead x10, counters x2, flags\n\
-                                flipped) — self-test that the gate trips\n\
-           --explain            when a file regresses, print its top counter\n\
-                                deltas vs baseline (largest relative change\n\
-                                first) to point at the behavioral cause\n\
-           --help               this text\n\
-         \n\
-         exit: 0 pass · 1 regression · 2 usage or schema error"
-    );
-    std::process::exit(code)
-}
-
-fn num_metrics(doc: &Json) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    if let Some(Json::Obj(m)) = doc.get("metrics") {
-        for (k, v) in m {
-            if let Json::Num(n) = v {
-                out.insert(k.clone(), *n);
-            }
-        }
-    }
-    out
-}
 
 fn str_flags(doc: &Json) -> BTreeMap<String, String> {
     let mut out = BTreeMap::new();
@@ -217,9 +145,9 @@ fn is_rate_metric(name: &str) -> bool {
     name.contains("per_sec")
 }
 
-/// Degrade a current-side document in memory: every time metric ×10,
-/// every rate and headline-ratio metric ÷10, the profiling-overhead
-/// ceiling metric ×10, every deterministic model counter ×2, and every
+/// Degrade a current-side document in memory: every time metric and
+/// every ceiling metric of [`LIMITS`] ×10, every rate and every floor
+/// metric ÷10, every deterministic model counter ×2, and every
 /// gated correctness flag flipped to false. The flag flip is what keeps
 /// the self-test meaningful even for a mode-mismatched pair (smoke
 /// current vs full baseline), where the metric gates are skipped by
@@ -229,14 +157,10 @@ fn inject_regression(doc: &mut Json) {
         if let Some(Json::Obj(metrics)) = root.get_mut("metrics") {
             for (k, v) in metrics.iter_mut() {
                 if let Json::Num(n) = v {
-                    if is_time_metric(k) || k == "prof_overhead_ratio" {
+                    let limit = LIMITS.iter().find(|l| l.metric == k).map(|l| l.direction);
+                    if is_time_metric(k) || limit == Some(Direction::Ceiling) {
                         *n *= 10.0;
-                    } else if is_rate_metric(k)
-                        || k == "speedup"
-                        || k == "ratio_at_8"
-                        || k.ends_with("_par_speedup")
-                        || k.ends_with("_replay_speedup")
-                    {
+                    } else if is_rate_metric(k) || limit == Some(Direction::Floor) {
                         *n /= 10.0;
                     }
                 }
@@ -244,7 +168,7 @@ fn inject_regression(doc: &mut Json) {
         }
         if let Some(Json::Obj(cs)) = root.get_mut("counters") {
             for (k, v) in cs.iter_mut() {
-                if EXACT_COUNTERS.contains(&k.as_str()) {
+                if exact_counters().any(|c| c == k) {
                     if let Json::Num(n) = v {
                         *n *= 2.0;
                     }
@@ -300,15 +224,26 @@ struct FileVerdict {
     compared: bool,
 }
 
-fn diff_file(name: &str, base: &Json, cur: &Json, tol: f64) -> FileVerdict {
-    let mut v = diff_gates(name, base, cur, tol);
+impl FileVerdict {
+    /// `skip`, `ok` or `fail:<regressions>`.
+    fn status(&self) -> String {
+        match (self.compared, self.regressions.len()) {
+            (false, _) => "skip".to_string(),
+            (true, 0) => "ok".to_string(),
+            (true, n) => format!("fail:{n}"),
+        }
+    }
+}
+
+fn diff_file(name: &str, base: &Json, cur: &Json) -> FileVerdict {
+    let mut v = diff_gates(name, base, cur);
     if !v.regressions.is_empty() {
         v.explain = rank_counter_deltas(base, cur);
     }
     v
 }
 
-fn diff_gates(name: &str, base: &Json, cur: &Json, tol: f64) -> FileVerdict {
+fn diff_gates(name: &str, base: &Json, cur: &Json) -> FileVerdict {
     let mut v = FileVerdict {
         name: name.to_string(),
         regressions: Vec::new(),
@@ -344,61 +279,10 @@ fn diff_gates(name: &str, base: &Json, cur: &Json, tol: f64) -> FileVerdict {
         }
     }
 
-    // 2. absolute floors — standing perf bars; only full runs are sized
-    // to meet them (smoke problems are fixed-cost-dominated by design).
-    if str_field(cur, "mode") == "full" {
-        let obs_floors = if matches!(cur.get("obs_enabled"), Some(Json::Bool(true))) {
-            &ABSOLUTE_FLOORS_OBS[..]
-        } else {
-            &[]
-        };
-        for &(metric, floor) in ABSOLUTE_FLOORS.iter().chain(obs_floors) {
-            if let Some(&val) = cm.get(metric) {
-                if val < floor {
-                    v.regressions.push(format!(
-                        "metric `{metric}`: {val:.3} below floor {floor:.1}"
-                    ));
-                }
-            }
-        }
-        // Ceilings: overhead ratios may not blow out. Same obs caveat as
-        // the obs floors — without obs the profiled side sheds the very
-        // instrumentation the ratio is supposed to price.
-        if matches!(cur.get("obs_enabled"), Some(Json::Bool(true))) {
-            for &(metric, ceiling) in &ABSOLUTE_CEILINGS_OBS {
-                if let Some(&val) = cm.get(metric) {
-                    if val > ceiling {
-                        v.regressions.push(format!(
-                            "metric `{metric}`: {val:.3} above ceiling {ceiling:.1} \
-                             (profiling overhead blowout)"
-                        ));
-                    }
-                }
-            }
-        }
-        // Parallel floors: only where the current run's host can scale.
-        let cores = cm.get("host_cores").copied().unwrap_or(0.0);
-        let obs_on_cur = matches!(cur.get("obs_enabled"), Some(Json::Bool(true)));
-        if cores >= PAR_FLOOR_MIN_CORES {
-            for &(metric, floor, needs_obs) in &PAR_FLOORS {
-                if needs_obs && !obs_on_cur {
-                    continue;
-                }
-                if let Some(&val) = cm.get(metric) {
-                    if val < floor {
-                        v.regressions.push(format!(
-                            "metric `{metric}`: {val:.3} below parallel floor {floor:.1} \
-                             ({cores:.0}-core host)"
-                        ));
-                    }
-                }
-            }
-        } else if PAR_FLOORS.iter().any(|&(m, _, _)| cm.contains_key(m)) {
-            v.notes.push(format!(
-                "parallel floors skipped: host_cores {cores:.0} < {PAR_FLOOR_MIN_CORES:.0}"
-            ));
-        }
-    }
+    // 2. perf limits — the probes' own bars, full runs only.
+    let limits = probe::check_limits(cur);
+    v.regressions.extend(limits.violations);
+    v.notes.extend(limits.notes);
 
     // 3. matched-mode gates.
     let modes_match = str_field(base, "mode") == str_field(cur, "mode")
@@ -429,7 +313,7 @@ fn diff_gates(name: &str, base: &Json, cur: &Json, tol: f64) -> FileVerdict {
     if obs_on {
         let bc = counters(base);
         let cc = counters(cur);
-        for key in EXACT_COUNTERS {
+        for key in exact_counters() {
             match (bc.get(key), cc.get(key)) {
                 (Some(b), Some(c)) if b != c => {
                     v.regressions
@@ -461,14 +345,14 @@ fn diff_gates(name: &str, base: &Json, cur: &Json, tol: f64) -> FileVerdict {
     if !deltas.is_empty() {
         let mean = deltas.mean();
         let sd = deltas.stddev();
-        if mean > tol && mean > sd {
+        if mean > TOL && mean > sd {
             v.regressions.push(format!(
                 "time metrics systematically slower: mean +{:.0}% over {} metric(s) \
                  (σ {:.0}%, tol {:.0}%)",
                 mean * 100.0,
                 deltas.len(),
                 sd * 100.0,
-                tol * 100.0
+                TOL * 100.0
             ));
         } else {
             v.notes.push(format!(
@@ -482,6 +366,18 @@ fn diff_gates(name: &str, base: &Json, cur: &Json, tol: f64) -> FileVerdict {
     v
 }
 
+fn is_bench_file(name: &str) -> bool {
+    name.starts_with("BENCH_")
+        && std::path::Path::new(name)
+            .extension()
+            .is_some_and(|e| e.eq_ignore_ascii_case("json"))
+}
+
+fn schema_error(side: &str, e: &str) -> ! {
+    eprintln!("error: {side} {e}");
+    std::process::exit(2)
+}
+
 fn load_validated(path: &std::path::Path) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     obs::validate_bench_json(&text)
@@ -490,56 +386,23 @@ fn load_validated(path: &std::path::Path) -> Result<Json, String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_dir: Option<String> = None;
-    let mut current_dir: Option<String> = None;
-    let mut tol = 0.5f64;
-    let mut out_path = "BENCHDIFF.json".to_string();
-    let mut inject = false;
-    let mut explain = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => baseline_dir = it.next().cloned(),
-            "--current" => current_dir = it.next().cloned(),
-            "--tol" => {
-                tol = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("error: --tol needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--out" => {
-                out_path = it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("error: --out needs a path");
-                    std::process::exit(2);
-                });
-            }
-            "--inject-regression" => inject = true,
-            "--explain" => explain = true,
-            "--help" | "-h" => usage(0),
-            other => {
-                eprintln!("error: unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let (Some(baseline_dir), Some(current_dir)) = (baseline_dir, current_dir) else {
-        eprintln!("error: --baseline and --current are required (try --help)");
-        std::process::exit(2);
+    let args = CLI.from_env();
+    let (Some(baseline_dir), Some(current_dir)) =
+        (args.value("--baseline"), args.value("--current"))
+    else {
+        probe::usage_error("--baseline and --current are required");
     };
+    let out_path = args.value("--out").unwrap_or("BENCHDIFF.json");
+    let inject = args.has("--inject-regression");
+    let explain = args.has("--explain");
 
     // Pair by filename over the baseline set: the committed baselines
     // define what is gated; extra current files are ignored.
-    let mut names: Vec<String> = match std::fs::read_dir(&baseline_dir) {
+    let mut names: Vec<String> = match std::fs::read_dir(baseline_dir) {
         Ok(rd) => rd
             .filter_map(std::result::Result::ok)
             .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| {
-                n.starts_with("BENCH_")
-                    && std::path::Path::new(n)
-                        .extension()
-                        .is_some_and(|e| e.eq_ignore_ascii_case("json"))
-            })
+            .filter(|n| is_bench_file(n))
             .collect(),
         Err(e) => {
             eprintln!("error: cannot read baseline dir {baseline_dir}: {e}");
@@ -554,15 +417,9 @@ fn main() {
 
     let mut verdicts: Vec<FileVerdict> = Vec::new();
     for name in &names {
-        let bpath = std::path::Path::new(&baseline_dir).join(name);
-        let cpath = std::path::Path::new(&current_dir).join(name);
-        let base = match load_validated(&bpath) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("error: baseline {e}");
-                std::process::exit(2);
-            }
-        };
+        let bpath = std::path::Path::new(baseline_dir).join(name);
+        let cpath = std::path::Path::new(current_dir).join(name);
+        let base = load_validated(&bpath).unwrap_or_else(|e| schema_error("baseline", &e));
         if !cpath.exists() {
             verdicts.push(FileVerdict {
                 name: name.clone(),
@@ -573,17 +430,11 @@ fn main() {
             });
             continue;
         }
-        let mut cur = match load_validated(&cpath) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("error: current {e}");
-                std::process::exit(2);
-            }
-        };
+        let mut cur = load_validated(&cpath).unwrap_or_else(|e| schema_error("current", &e));
         if inject {
             inject_regression(&mut cur);
         }
-        verdicts.push(diff_file(name, &base, &cur, tol));
+        verdicts.push(diff_file(name, &base, &cur));
     }
 
     let total_regressions: usize = verdicts.iter().map(|v| v.regressions.len()).sum();
@@ -597,14 +448,7 @@ fn main() {
         if inject { " [injected regression]" } else { "" }
     );
     for v in &verdicts {
-        let status = if !v.compared {
-            "SKIP"
-        } else if v.regressions.is_empty() {
-            "OK"
-        } else {
-            "FAIL"
-        };
-        println!("{status:>5}  {}", v.name);
+        println!("{:>6}  {}", v.status().to_uppercase(), v.name);
         for r in &v.regressions {
             println!("       regression: {r}");
         }
@@ -621,31 +465,19 @@ fn main() {
     println!("verdict: {}", if pass { "PASS" } else { "REGRESSION" });
 
     // Machine-readable verdict in the shared schema (probe "benchdiff").
-    let mut report = obs::BenchReport::new("benchdiff", "gate");
-    report.metric("baselines", names.len() as f64);
-    report.metric("compared", compared as f64);
-    report.metric("regressions", total_regressions as f64);
-    report.metric("tol", tol);
-    report.flag("verdict", if pass { "pass" } else { "regression" });
-    report.flag("injected", inject);
+    let mut run = probe::Run::start("benchdiff", "gate", false, out_path);
+    let report = &mut run.report;
+    report
+        .metric("baselines", names.len() as f64)
+        .metric("compared", compared as f64)
+        .metric("regressions", total_regressions as f64)
+        .metric("tol", TOL)
+        .flag("verdict", if pass { "pass" } else { "regression" })
+        .flag("injected", inject);
     for v in &verdicts {
-        report.flag(
-            &format!("file:{}", v.name),
-            if !v.compared {
-                "skip".to_string()
-            } else if v.regressions.is_empty() {
-                "ok".to_string()
-            } else {
-                format!("fail:{}", v.regressions.len())
-            },
-        );
+        report.flag(&format!("file:{}", v.name), v.status());
     }
-    if let Err(e) = report.write(&out_path) {
-        eprintln!("error: write {out_path}: {e}");
-        std::process::exit(2);
-    }
-    println!("wrote {out_path}");
-
+    run.finish();
     std::process::exit(i32::from(!pass));
 }
 
@@ -669,7 +501,7 @@ mod tests {
     }
 
     fn regressions(base: &Json, cur: &Json) -> Vec<String> {
-        diff_file("BENCH_t.json", base, cur, 0.5).regressions
+        diff_file("BENCH_t.json", base, cur).regressions
     }
 
     #[test]
@@ -697,7 +529,7 @@ mod tests {
             true,
             &[("host_cores", 1.0), ("replay_par_speedup", 1.0)],
         );
-        let v = diff_file("BENCH_t.json", &base, &cur, 0.5);
+        let v = diff_file("BENCH_t.json", &base, &cur);
         assert!(v.regressions.is_empty(), "{:?}", v.regressions);
         assert!(
             v.notes
@@ -716,20 +548,23 @@ mod tests {
     }
 
     #[test]
-    fn trace_engine_par_floors_need_obs_but_cachesim_does_not() {
-        let base = doc("full", false, &[]);
-        let cur = doc(
-            "full",
-            false,
-            &[
-                ("host_cores", 8.0),
-                ("replay_par_speedup", 1.0),
-                ("cachesim_par_speedup", 1.0),
-            ],
-        );
-        let r = regressions(&base, &cur);
-        assert_eq!(r.len(), 1, "{r:?}");
-        assert!(r[0].contains("cachesim_par_speedup"), "{r:?}");
+    fn par_floors_apply_whatever_the_obs_switch() {
+        for obs_on in [false, true] {
+            let base = doc("full", obs_on, &[]);
+            let cur = doc(
+                "full",
+                obs_on,
+                &[
+                    ("host_cores", 8.0),
+                    ("replay_par_speedup", 1.0),
+                    ("cachesim_par_speedup", 1.0),
+                ],
+            );
+            let r = regressions(&base, &cur);
+            assert_eq!(r.len(), 2, "{r:?}");
+            assert!(r[0].contains("replay_par_speedup"), "{r:?}");
+            assert!(r[1].contains("cachesim_par_speedup"), "{r:?}");
+        }
     }
 
     #[test]
@@ -818,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn prof_overhead_ceiling_trips_on_full_obs_runs_only() {
+    fn prof_overhead_ceiling_trips_on_full_runs_only() {
         let base = doc("full", true, &[]);
         let hot = doc("full", true, &[("prof_overhead_ratio", 6.0)]);
         let r = regressions(&base, &hot);
@@ -826,9 +661,9 @@ mod tests {
         assert!(r[0].contains("above ceiling"), "{r:?}");
         let fine = doc("full", true, &[("prof_overhead_ratio", 1.4)]);
         assert!(regressions(&base, &fine).is_empty());
-        // Without obs the ratio measures something else: not gated.
+        // The bar holds whatever the obs switch says.
         let no_obs = doc("full", false, &[("prof_overhead_ratio", 6.0)]);
-        assert!(regressions(&doc("full", false, &[]), &no_obs).is_empty());
+        assert_eq!(regressions(&doc("full", false, &[]), &no_obs).len(), 1);
         // Smoke problems are fixed-cost-dominated: not gated.
         let smoke = doc("smoke", true, &[("prof_overhead_ratio", 6.0)]);
         assert!(regressions(&doc("smoke", true, &[]), &smoke).is_empty());
@@ -864,7 +699,7 @@ mod tests {
                 ("scatter_elems", 10),  // unchanged: never listed
             ],
         );
-        let v = diff_file("BENCH_t.json", &base, &cur, 0.5);
+        let v = diff_file("BENCH_t.json", &base, &cur);
         assert!(!v.regressions.is_empty(), "gate flip must regress");
         assert_eq!(v.explain.len(), EXPLAIN_TOP_N, "{:?}", v.explain);
         assert!(v.explain[0].starts_with("port_fla:"), "{:?}", v.explain);
@@ -887,13 +722,13 @@ mod tests {
     fn explain_is_empty_for_a_clean_file() {
         let base = doc_counters(true, true, &[("sve_instrs", 1000)]);
         let cur = doc_counters(true, true, &[("sve_instrs", 2000)]);
-        // Counter drift alone is a regression only via EXACT_COUNTERS in
+        // Counter drift alone is a regression only via exact_counters() in
         // matched-mode — which it is here, so check a truly clean pair.
-        let clean = diff_file("BENCH_t.json", &base, &base.clone(), 0.5);
+        let clean = diff_file("BENCH_t.json", &base, &base.clone());
         assert!(clean.regressions.is_empty());
         assert!(clean.explain.is_empty());
         // And when the drift does regress, the explanation names it.
-        let v = diff_file("BENCH_t.json", &base, &cur, 0.5);
+        let v = diff_file("BENCH_t.json", &base, &cur);
         assert!(!v.regressions.is_empty());
         assert!(v.explain[0].starts_with("sve_instrs:"), "{:?}", v.explain);
     }
@@ -915,7 +750,7 @@ mod tests {
         let c = counters(&cur);
         assert_eq!(c["sve_instrs"], 1000, "exact counters double");
         assert_eq!(c["forked_regions"], 9, "non-gated counters untouched");
-        let v = diff_file("BENCH_t.json", &base, &cur, 0.5);
+        let v = diff_file("BENCH_t.json", &base, &cur);
         assert!(
             v.regressions.iter().any(|r| r.contains("above ceiling")),
             "{:?}",
@@ -946,5 +781,72 @@ mod tests {
             r.iter().any(|r| r.contains("replay_par_speedup")),
             "injected par regression must trip the floor: {r:?}"
         );
+    }
+
+    /// The committed baselines at the repo root.
+    fn committed() -> Vec<(String, Json)> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut out: Vec<(String, Json)> = std::fs::read_dir(&root)
+            .expect("repo root")
+            .filter_map(Result::ok)
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| is_bench_file(n))
+            .map(|n| {
+                let doc = load_validated(&root.join(&n)).expect("committed baseline validates");
+                (n, doc)
+            })
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    fn set_metric(doc: &mut Json, key: &str, value: f64) {
+        if let Json::Obj(root) = doc {
+            if let Some(Json::Obj(m)) = root.get_mut("metrics") {
+                m.insert(key.to_string(), Json::Num(value));
+            }
+        }
+    }
+
+    /// A renamed metric would silently disable its bar (absent metrics are
+    /// skipped), so every bar must name a metric some committed baseline
+    /// carries, and `--inject-regression` must trip it there.
+    #[test]
+    fn every_limit_is_published_and_tripped_by_injection() {
+        let files = committed();
+        assert!(!files.is_empty(), "no committed BENCH_*.json found");
+        for l in &LIMITS {
+            let carriers: Vec<&(String, Json)> = files
+                .iter()
+                .filter(|(_, d)| num_metrics(d).contains_key(l.metric))
+                .collect();
+            assert!(
+                !carriers.is_empty(),
+                "limit `{}` names a metric no committed BENCH_*.json carries",
+                l.metric
+            );
+            for (name, base) in carriers {
+                let cores = num_metrics(base).get("host_cores").copied().unwrap_or(0.0);
+                if cores >= l.min_cores {
+                    let clean = probe::check_limits(base).violations;
+                    assert!(
+                        !clean.iter().any(|r| r.contains(l.metric)),
+                        "{name}: committed `{}` already breaks its bar: {clean:?}",
+                        l.metric
+                    );
+                }
+                // Give the run the cores its bar needs, so the
+                // capability gate cannot hide the injected regression.
+                let mut cur = base.clone();
+                set_metric(&mut cur, "host_cores", cores.max(l.min_cores));
+                inject_regression(&mut cur);
+                let r = diff_file(name, base, &cur).regressions;
+                assert!(
+                    r.iter().any(|r| r.contains(&format!("`{}`", l.metric))),
+                    "{name}: injected regression did not trip `{}`: {r:?}",
+                    l.metric
+                );
+            }
+        }
     }
 }

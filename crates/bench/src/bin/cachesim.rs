@@ -10,12 +10,13 @@
 //!    equal to the serial simulator, on both the A64FX and Skylake
 //!    memory geometries. Sharding by set index is a bijection that
 //!    preserves per-set LRU order, so any drift is a bug, not noise.
-//! 2. **Parallel floor** (full mode, obs-independent, only on hosts with
-//!    ≥ 4 cores): pool-parallel replay at 4 threads must be at least 2×
-//!    the serial simulator on the same trace.
+//! 2. **Parallel floor** (full mode, only where `host_cores` reaches the
+//!    bar's minimum): `cachesim_par_speedup` in
+//!    [`ookami_bench::probe::LIMITS`], pool-parallel replay at 4 threads
+//!    vs the serial simulator on the same trace.
 //!
 //! Writes `BENCH_mem.json` (schema `ookami-bench-v1`) with the headline
-//! A64FX numbers plus `host_cores`, so `benchdiff` can apply the same
+//! A64FX numbers plus `host_cores`, so `benchdiff` applies the same
 //! capability-gated floor to committed baselines, with the obs counters
 //! the run produced (the probe switches the obs layer on). Run with:
 //!
@@ -23,10 +24,23 @@
 //! cargo run -p ookami-bench --bin cachesim --release [--smoke]
 //! ```
 
-use ookami_core::{auto_threads, obs};
+use ookami_bench::probe::{self, best_of};
+use ookami_core::auto_threads;
 use ookami_mem::{AccessStats, CacheSim, ShardedCacheSim};
 use ookami_uarch::{machines, MemSpec};
-use std::time::Instant;
+
+const CLI: probe::Cli = probe::Cli {
+    help: "cachesim — sharded vs serial cache simulator: exact identity + parallel rate\n\
+           \n\
+           usage: cachesim [--smoke]\n\
+           \n\
+           --smoke  CI-sized trace; identity gate only, no parallel floor\n\
+           \n\
+           writes BENCH_mem.json",
+    switches: &["--smoke"],
+    options: &[],
+    max_positional: 0,
+};
 
 /// Deterministic synthetic trace mixing the three behaviors the cache
 /// model has to get right: streaming fills (compulsory misses + high reuse
@@ -61,16 +75,6 @@ fn serial_stats(spec: MemSpec, trace: &[(u64, usize)]) -> AccessStats {
     c.replay(trace.iter().copied())
 }
 
-fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Exact-equality check for one machine across dispatch strategies.
 /// Returns false (and prints) on any mismatch.
 fn identity_check(name: &str, spec: MemSpec, trace: &[(u64, usize)]) -> bool {
@@ -97,10 +101,9 @@ fn identity_check(name: &str, spec: MemSpec, trace: &[(u64, usize)]) -> bool {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    obs::set_enabled(true);
-    obs::reset();
-    let obs_before = obs::snapshot();
+    let args = CLI.from_env();
+    let smoke = args.smoke();
+    let mut run = probe::Run::start("cachesim", args.mode(), true, "BENCH_mem.json");
     let n = if smoke { 30_000 } else { 600_000 };
     let reps = if smoke { 2 } else { 5 };
     let trace = synth_trace(n);
@@ -140,8 +143,7 @@ fn main() {
     );
     println!("  identity (serial == sharded == par over both machines): {gate}");
 
-    let mut report = obs::BenchReport::new("cachesim", if smoke { "smoke" } else { "full" });
-    report
+    run.report
         .metric("accesses", n as f64)
         .metric("line_touches", lines as f64)
         .metric("l1_hits", stats.l1_hits as f64)
@@ -155,20 +157,8 @@ fn main() {
         .metric("shards", shards as f64)
         .metric("host_cores", host_cores as f64)
         .flag("machine", "a64fx")
-        .flag("gate", gate)
-        .attach_obs(&obs::snapshot().since(&obs_before));
-    report
-        .write("BENCH_mem.json")
-        .expect("write BENCH_mem.json");
-    println!("wrote BENCH_mem.json");
-
-    if !gate {
-        std::process::exit(1);
-    }
-    // Capability-gated parallel floor, mirroring benchdiff: on < 4 cores
-    // the pool runs shard tasks inline and the ratio is meaningless.
-    if !smoke && host_cores >= 4 && par_speedup < 2.0 {
-        eprintln!("FAIL: sharded par4 speedup {par_speedup:.2}x < 2x on a {host_cores}-core host");
+        .flag("gate", gate);
+    if !run.finish() || !gate {
         std::process::exit(1);
     }
     if smoke {

@@ -5,36 +5,38 @@
 //! regeneration runs uninstrumented and the report's counters and spans
 //! are empty.
 
-use ookami_core::obs;
+use ookami_bench::probe;
+
+const CLI: probe::Cli = probe::Cli {
+    help: "figures — regenerate the paper's figures as text tables or CSV rows\n\
+           \n\
+           usage: figures [fig1|fig2|sec4|fig3|…|fig9|all] [--csv]   (default all)\n\
+           \n\
+           writes BENCH_figures.json",
+    switches: &["--csv"],
+    options: &[],
+    max_positional: 1,
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let csv = args.iter().any(|a| a == "--csv");
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
-    obs::reset();
-    let obs_before = obs::snapshot();
-    print!("{}", ookami_bench::run_figures(&which, csv));
+    let args = CLI.from_env();
+    let csv = args.has("--csv");
+    let which = args.positional.first().map_or("all", String::as_str);
+    let mut run = probe::Run::start("figures", which, false, "BENCH_figures.json");
+    print!("{}", ookami_bench::run_figures(which, csv));
 
-    let mut report = obs::BenchReport::new("figures", &which);
     let names: Vec<&str> = if which == "all" {
         ookami_bench::ALL_FIGURES.to_vec()
     } else {
-        vec![which.as_str()]
+        vec![which]
     };
     for n in names {
         if let Some((_, rows)) = ookami_bench::figure(n) {
-            report.metric(&format!("{n}_rows"), rows.len() as f64);
+            run.report.metric(&format!("{n}_rows"), rows.len() as f64);
         }
     }
-    report
-        .flag("csv", csv)
-        .attach_obs(&obs::snapshot().since(&obs_before));
-    report
-        .write("BENCH_figures.json")
-        .expect("write BENCH_figures.json");
-    eprintln!("wrote BENCH_figures.json");
+    run.report.flag("csv", csv);
+    if !run.finish() {
+        std::process::exit(1);
+    }
 }

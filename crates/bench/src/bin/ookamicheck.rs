@@ -17,7 +17,7 @@
 //! 1 when the injected defect is flagged* — the caller inverts them,
 //! mirroring `benchdiff --inject-regression`.
 
-use ookami_bench::family;
+use ookami_bench::{family, probe};
 use ookami_check::{
     detect_races, injected_race_events, injected_sampler_race_events, render_all, to_json,
     validate_trace, verify, MutantVerdict, Program,
@@ -29,38 +29,44 @@ use ookami_mc::emulated as mc_em;
 use ookami_sve::Trace;
 use ookami_vecmath::{exp_trace, ExpVariant};
 
-fn usage() -> ! {
-    println!(
-        "ookamicheck — static verifier + translation validator + race gate\n\
+const CLI: probe::Cli = probe::Cli {
+    help: "ookamicheck — static verifier + translation validator + race gate\n\
          \n\
          usage: ookamicheck [--mutations] [--tv] [--inject-race]\n\
          \x20                [--inject-sampler-race] [--inject-tv]\n\
          \x20                [--json <path>] [--help]\n\
          \n\
          options:\n\
-           --mutations     also replay the golden corpus and trace-mutation\n\
-                           self-tests (every broken stream must be rejected\n\
-                           with its expected code)\n\
-           --tv            run the translation validator instead: prove every\n\
-                           family trace pass-by-pass through the compiler\n\
-                           pipeline, plus the 24-seed mutation self-test\n\
-                           (report goes to --json, default\n\
-                           target/OOKAMICHECK.tv.json)\n\
-           --inject-race   feed the detector a synthetic overlapping-write\n\
-                           stream; exits 1 when the race is flagged (the\n\
-                           caller inverts this, like benchdiff's\n\
-                           --inject-regression)\n\
-           --inject-sampler-race\n\
-                           same, with a telemetry-actor stream: one sampler\n\
-                           ring slot written by two unordered threads\n\
-           --inject-tv     feed the validator a trail with a tampered stage;\n\
-                           exits 1 when TV rejects it (caller inverts)\n\
-           --json <path>   machine-readable report (default\n\
-                           target/OOKAMICHECK.json)\n\
-           --help          this text"
-    );
-    std::process::exit(0)
-}
+         \x20 --mutations     also replay the golden corpus and trace-mutation\n\
+         \x20                 self-tests (every broken stream must be rejected\n\
+         \x20                 with its expected code)\n\
+         \x20 --tv            run the translation validator instead: prove every\n\
+         \x20                 family trace pass-by-pass through the compiler\n\
+         \x20                 pipeline, plus the 24-seed mutation self-test\n\
+         \x20                 (report goes to --json, default\n\
+         \x20                 target/OOKAMICHECK.tv.json)\n\
+         \x20 --inject-race   feed the detector a synthetic overlapping-write\n\
+         \x20                 stream; exits 1 when the race is flagged (the\n\
+         \x20                 caller inverts this, like benchdiff's\n\
+         \x20                 --inject-regression)\n\
+         \x20 --inject-sampler-race\n\
+         \x20                 same, with a telemetry-actor stream: one sampler\n\
+         \x20                 ring slot written by two unordered threads\n\
+         \x20 --inject-tv     feed the validator a trail with a tampered stage;\n\
+         \x20                 exits 1 when TV rejects it (caller inverts)\n\
+         \x20 --json <path>   machine-readable report (default\n\
+         \x20                 target/OOKAMICHECK.json)\n\
+         \x20 --help          this text",
+    switches: &[
+        "--mutations",
+        "--tv",
+        "--inject-race",
+        "--inject-sampler-race",
+        "--inject-tv",
+    ],
+    options: &["--json"],
+    max_positional: 0,
+};
 
 /// Every shipped workload-family trace, one per kernel: Section III
 /// loops, Section IV exp, the Monte Carlo example, and the
@@ -454,44 +460,13 @@ fn race_check_kernels() -> (usize, usize) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut mutations = false;
-    let mut tv = false;
-    let mut inject_race = false;
-    let mut inject_sampler_race = false;
-    let mut inject_tv = false;
-    let mut json_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--mutations" => mutations = true,
-            "--tv" => tv = true,
-            "--inject-race" => inject_race = true,
-            "--inject-sampler-race" => inject_sampler_race = true,
-            "--inject-tv" => inject_tv = true,
-            "--json" => {
-                if let Some(p) = it.next() {
-                    json_path = Some(p.clone());
-                } else {
-                    eprintln!("error: --json needs a path argument");
-                    std::process::exit(2);
-                }
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if inject_tv {
+    let args = CLI.from_env();
+    if args.has("--inject-tv") {
         std::process::exit(run_inject_tv());
     }
 
-    if tv {
-        let path = json_path.unwrap_or_else(|| String::from("target/OOKAMICHECK.tv.json"));
-        let failures = run_tv(&path);
+    if args.has("--tv") {
+        let failures = run_tv(args.value("--json").unwrap_or("target/OOKAMICHECK.tv.json"));
         if failures > 0 {
             eprintln!("ookamicheck: {failures} TV gate failure(s)");
             std::process::exit(1);
@@ -499,30 +474,24 @@ fn main() {
         println!("ookamicheck --tv: all pass transitions proved");
         return;
     }
-    let json_path = json_path.unwrap_or_else(|| String::from("target/OOKAMICHECK.json"));
+    let json_path = args.value("--json").unwrap_or("target/OOKAMICHECK.json");
 
-    if inject_race {
-        let races = detect_races(&injected_race_events());
-        if races.is_empty() {
-            eprintln!("inject-race: detector missed the injected overlap");
-            std::process::exit(0); // caller treats exit 0 as THE failure
+    // Race self-tests: exit 1 when the injected race is flagged; the
+    // caller treats exit 0 as THE failure.
+    for (flag, events) in [
+        ("--inject-race", injected_race_events as fn() -> _),
+        ("--inject-sampler-race", injected_sampler_race_events),
+    ] {
+        if args.has(flag) {
+            let races = detect_races(&events());
+            for r in &races {
+                println!("{flag}: flagged {r}");
+            }
+            if races.is_empty() {
+                eprintln!("{flag}: detector missed the injected unordered writes");
+            }
+            std::process::exit(i32::from(!races.is_empty()));
         }
-        for r in &races {
-            println!("inject-race: flagged {r}");
-        }
-        std::process::exit(1);
-    }
-
-    if inject_sampler_race {
-        let races = detect_races(&injected_sampler_race_events());
-        if races.is_empty() {
-            eprintln!("inject-sampler-race: detector missed the unordered actor writes");
-            std::process::exit(0); // caller treats exit 0 as THE failure
-        }
-        for r in &races {
-            println!("inject-sampler-race: flagged {r}");
-        }
-        std::process::exit(1);
     }
 
     let mut failures = 0usize;
@@ -551,7 +520,7 @@ fn main() {
         reports.push(to_json(p, &diags));
     }
 
-    if mutations {
+    if args.has("--mutations") {
         println!("== ookamicheck: mutation self-tests ==");
         failures += run_mutations();
     }
@@ -571,10 +540,10 @@ fn main() {
         reports.join(",\n")
     );
     Json::parse(&doc).expect("ookamicheck report must be valid JSON");
-    if let Some(dir) = std::path::Path::new(&json_path).parent() {
+    if let Some(dir) = std::path::Path::new(json_path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    std::fs::write(&json_path, &doc).expect("write report");
+    std::fs::write(json_path, &doc).expect("write report");
     println!("wrote {json_path}");
 
     if failures > 0 {

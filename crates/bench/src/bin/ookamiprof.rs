@@ -11,7 +11,8 @@
 //!   path);
 //! * the **profiling overhead ratio** — the same compiled workload run
 //!   bare vs under a region with the timeline recording — is published as
-//!   `prof_overhead_ratio` and ceiling-gated by `benchdiff` (full mode),
+//!   `prof_overhead_ratio` and held under its ceiling in
+//!   [`ookami_bench::probe::LIMITS`] (full mode, here and in `benchdiff`),
 //!   so the observability layer can never silently become the workload.
 //!
 //! Writes `BENCH_prof.json` (p50/p99 region latencies per executor) and
@@ -23,98 +24,36 @@
 //! cargo run -p ookami-bench --bin ookamiprof --release [--smoke]
 //! ```
 //!
-//! `--serve <addr>` embeds the live telemetry endpoint for the duration
-//! of the run (`/metrics`, `/profile`, `/trace`, `/samples`).
+//! To watch the same span tree live over HTTP, use
+//! `ookamiserve --addr <host:port>`.
 
+use ookami_bench::probe::{self, identity_delta};
 use ookami_core::telemetry::{self, spantree, HistKind};
 use ookami_core::{obs, timeline};
 use ookami_vecmath::exp::{exp_slice_interp, exp_trace, ExpVariant};
 use ookami_vecmath::ulp::sample_range;
 use std::time::Instant;
 
-/// The executor-strategy-neutral counters that must be exactly equal
-/// across interpreter, replayer and compiled execution (the svereplay
-/// invariant; byte counters differ on interpreter tail staging).
-const IDENTITY_COUNTERS: [&str; 13] = [
-    "sve_instrs",
-    "sve_lanes_active",
-    "port_fla",
-    "port_flb",
-    "port_pr",
-    "port_exa",
-    "port_exb",
-    "port_eaga",
-    "port_eagb",
-    "port_br",
-    "gather_elems",
-    "scatter_elems",
-    "fexpa_issues",
-];
+const CLI: probe::Cli = probe::Cli {
+    help: "ookamiprof — span-tree profiler probe with live-telemetry identity gates\n\
+           \n\
+           usage: ookamiprof [--smoke]\n\
+           \n\
+           --smoke  CI-sized run (no perf bars apply in smoke mode)\n\
+           \n\
+           writes BENCH_prof.json and target/PROFILE.collapsed",
+    switches: &["--smoke"],
+    options: &[],
+    max_positional: 0,
+};
 
-fn usage() -> ! {
-    eprintln!(
-        "ookamiprof: span-tree profiler probe with live-telemetry identity gates\n\
-         usage: ookamiprof [--smoke] [--serve <addr>] [--out <path>] [--collapsed <path>]\n\
-           --smoke            CI-sized run (no perf floors apply in smoke mode)\n\
-           --serve <addr>     serve /metrics /profile /trace /samples during the run\n\
-           --out <path>       report path (default BENCH_prof.json)\n\
-           --collapsed <path> flamegraph export (default target/PROFILE.collapsed)"
-    );
-    std::process::exit(2);
-}
-
-fn delta_13(f: impl FnOnce()) -> [u64; 13] {
-    let before = obs::thread_snapshot();
-    f();
-    let d = obs::thread_snapshot().since(&before);
-    let mut out = [0u64; 13];
-    for (slot, name) in out.iter_mut().zip(IDENTITY_COUNTERS.iter()) {
-        *slot = d.get(obs::Counter::from_name(name).expect("known counter"));
-    }
-    out
-}
+/// Flamegraph export path (inferno / speedscope load it directly).
+const COLLAPSED_PATH: &str = "target/PROFILE.collapsed";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut serve_addr: Option<String> = None;
-    let mut out_path = "BENCH_prof.json".to_string();
-    let mut collapsed_path = "target/PROFILE.collapsed".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--serve" => match it.next() {
-                Some(addr) => serve_addr = Some(addr.clone()),
-                None => usage(),
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path.clone_from(p),
-                None => usage(),
-            },
-            "--collapsed" => match it.next() {
-                Some(p) => collapsed_path.clone_from(p),
-                None => usage(),
-            },
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
-    obs::set_enabled(true);
-    let server = serve_addr.as_deref().map(|addr| {
-        let handle = telemetry::serve::spawn(addr).unwrap_or_else(|e| {
-            eprintln!("error: cannot bind --serve {addr}: {e}");
-            std::process::exit(2);
-        });
-        println!("serving live telemetry on http://{}/", handle.addr());
-        handle
-    });
-    let sampler = telemetry::Sampler::start(std::time::Duration::from_millis(100), 64);
-
-    obs::reset();
+    let args = CLI.from_env();
+    let smoke = args.smoke();
+    let mut run = probe::Run::start("ookamiprof", args.mode(), true, "BENCH_prof.json");
     let vl = 8usize;
     let n = if smoke { 2_001 } else { 20_001 };
     let reps: u32 = if smoke { 4 } else { 8 };
@@ -123,7 +62,7 @@ fn main() {
     let t = exp_trace(vl, variant);
     let ct = t.compile();
 
-    let mut report = obs::BenchReport::new("ookamiprof", if smoke { "smoke" } else { "full" });
+    let report = &mut run.report;
     report.metric("n", n as f64).metric("reps", f64::from(reps));
     report.metric("host_cores", ookami_core::auto_threads() as f64);
 
@@ -159,26 +98,28 @@ fn main() {
     let d_compiled;
     {
         let _root = obs::region("ookamiprof");
-        d_interp = delta_13(|| {
+        d_interp = identity_delta(|| {
             for _ in 0..reps {
                 let _span = obs::region("exec_interp");
                 std::hint::black_box(exp_slice_interp(vl, &xs, variant));
             }
-        });
-        d_replay = delta_13(|| {
+        })
+        .0;
+        d_replay = identity_delta(|| {
             for _ in 0..reps {
                 let _span = obs::region("exec_replay");
                 std::hint::black_box(t.replay_map(&xs));
             }
-        });
-        d_compiled = delta_13(|| {
+        })
+        .0;
+        d_compiled = identity_delta(|| {
             for _ in 0..reps {
                 let _span = obs::region("exec_compiled");
                 std::hint::black_box(ct.map(&xs));
             }
-        });
+        })
+        .0;
     }
-    sampler.force_sample();
     timeline::stop();
 
     // --- Telemetry identity gates ---
@@ -245,24 +186,20 @@ fn main() {
     print!("{}", tree.render_table());
     let collapsed = tree.collapsed();
     spantree::parse_collapsed(&collapsed).expect("own collapsed export round-trips");
-    if let Some(dir) = std::path::Path::new(&collapsed_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&collapsed_path, &collapsed).expect("write collapsed stacks");
+    let _ = std::fs::create_dir_all("target");
+    std::fs::write(COLLAPSED_PATH, &collapsed).expect("write collapsed stacks");
     println!(
-        "wrote {collapsed_path} ({} stacks)",
+        "wrote {COLLAPSED_PATH} ({} stacks)",
         collapsed.lines().count()
     );
 
     telemetry::validate_prometheus(&telemetry::prometheus())
         .expect("own Prometheus exposition validates");
-    report.attach_obs(&obs::snapshot());
-    report.write(&out_path).expect("write report");
-    println!("wrote {out_path}");
-    drop(sampler);
-    drop(server);
+    let limits_hold = run.finish();
     if failures > 0 {
         eprintln!("ookamiprof: {failures} identity gate(s) failed");
+    }
+    if failures > 0 || !limits_hold {
         std::process::exit(1);
     }
 }

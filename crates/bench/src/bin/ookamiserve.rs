@@ -1,20 +1,21 @@
-//! Resident live-telemetry server: runs a continuous exp workload under
-//! `obs::region` spans with the timeline and a sampling session active,
-//! while serving the current state over HTTP:
+//! Resident live-telemetry server, the repo's one serving entry point:
+//! runs a continuous exp workload under `obs::region` spans with the
+//! timeline and a sampling session active, while serving the current
+//! state over HTTP:
 //!
 //! * `GET /metrics`  — Prometheus text exposition (counters + histograms)
 //! * `GET /profile`  — collapsed flamegraph stacks (`?format=json` for the
 //!   aggregated span tree)
 //! * `GET /trace`    — Chrome `chrome://tracing` / Perfetto JSON
 //! * `GET /samples`  — the sampler ring (periodic counter snapshots)
-//! * `GET /bench/<name>` — committed `BENCH_<name>.json` baselines
+//! * `GET /bench/<name>` — `BENCH_<name>.json` from the working directory
 //!
 //! ```text
-//! cargo run -p ookami-bench --bin ookamiserve -- --addr 127.0.0.1:9178
+//! cargo run -p ookami-bench --bin ookamiserve --release -- [--addr 127.0.0.1:9178] [--selfcheck]
 //! ```
 //!
 //! `--selfcheck` is the CI entry point: it binds an ephemeral port, runs a
-//! bounded workload, fetches every endpoint through the in-repo HTTP
+//! bounded smoke-sized workload, fetches every endpoint through the in-repo HTTP
 //! client and validates each document with the in-repo parsers
 //! ([`ookami_core::telemetry::validate_prometheus`], [`Json::parse`],
 //! [`spantree::parse_collapsed`], [`obs::validate_bench_json`]), exiting
@@ -23,6 +24,7 @@
 //! well-formed with the switch off is pinned by the `obs_switch_off`
 //! test of `ookami-core`.
 
+use ookami_bench::probe;
 use ookami_core::obs::{self, Json};
 use ookami_core::telemetry::{self, serve, spantree};
 use ookami_core::timeline;
@@ -30,20 +32,21 @@ use ookami_vecmath::exp::{exp_trace, ExpVariant};
 use ookami_vecmath::ulp::sample_range;
 use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "ookamiserve: resident /metrics /profile /trace /samples endpoint over a live run\n\
-         usage: ookamiserve [--addr <host:port>] [--iterations <n>] [--smoke] [--selfcheck]\n\
-                            [--bench-dir <path>]\n\
+const CLI: probe::Cli = probe::Cli {
+    help: "ookamiserve — resident /metrics /profile /trace /samples endpoint over a live run\n\
+           \n\
+           usage: ookamiserve [--addr <host:port>] [--selfcheck]\n\
+           \n\
            --addr <host:port>  bind address (default 127.0.0.1:9178; port 0 = ephemeral)\n\
-           --iterations <n>    stop after n workload iterations (default: run forever)\n\
-           --smoke             small workload slices, short sampler period\n\
-           --selfcheck         bind an ephemeral port, fetch and validate every endpoint,\n\
-                               then exit 0/1 (CI mode; implies a bounded run)\n\
-           --bench-dir <path>  directory holding BENCH_*.json for /bench/<name>"
-    );
-    std::process::exit(2);
-}
+           --selfcheck         bind an ephemeral port, run a bounded smoke-sized workload,\n\
+           \x20                   fetch and validate every endpoint, then exit 0/1 (CI mode)",
+    switches: &["--selfcheck"],
+    options: &["--addr"],
+    max_positional: 0,
+};
+
+/// Workload iterations of a `--selfcheck` run.
+const SELFCHECK_ITERATIONS: usize = 3;
 
 /// One workload iteration: the compiled exp kernel over a fresh slice,
 /// bracketed by nested regions so /profile has a tree worth looking at.
@@ -93,36 +96,19 @@ fn selfcheck_endpoints(addr: std::net::SocketAddr) -> Vec<String> {
         "/profile",
         fetch_ok(addr, "/profile").and_then(|b| spantree::parse_collapsed(&b).map(|_| ())),
     );
-    check(
-        "/profile?format=json",
-        fetch_ok(addr, "/profile?format=json").and_then(|b| {
-            let v = Json::parse(&b)?;
-            match v.get("roots") {
-                Some(Json::Arr(_)) => Ok(()),
-                _ => Err("missing roots array".to_string()),
-            }
-        }),
-    );
-    check(
-        "/trace",
-        fetch_ok(addr, "/trace").and_then(|b| {
-            let v = Json::parse(&b)?;
-            match v.get("traceEvents") {
-                Some(Json::Arr(_)) => Ok(()),
-                _ => Err("missing traceEvents array".to_string()),
-            }
-        }),
-    );
-    check(
-        "/samples",
-        fetch_ok(addr, "/samples").and_then(|b| {
-            let v = Json::parse(&b)?;
-            match v.get("schema") {
-                Some(Json::Str(s)) if s == "ookami-samples-v1" => Ok(()),
-                _ => Err("missing ookami-samples-v1 schema tag".to_string()),
-            }
-        }),
-    );
+    // JSON documents: each must parse and carry its marker field.
+    for (path, key, tag) in [
+        ("/profile?format=json", "roots", None),
+        ("/trace", "traceEvents", None),
+        ("/samples", "schema", Some("ookami-samples-v1")),
+    ] {
+        let r = fetch_ok(addr, path).and_then(|b| match (Json::parse(&b)?.get(key), tag) {
+            (Some(Json::Arr(_)), None) => Ok(()),
+            (Some(Json::Str(s)), Some(t)) if s == t => Ok(()),
+            _ => Err(format!("missing `{key}`")),
+        });
+        check(path, r);
+    }
     // /bench/<name>: validate any committed baseline that exists; a 404
     // for a never-committed name must stay a 404.
     if let Ok((status, body)) = serve::http_get(addr, "/bench/sve") {
@@ -141,47 +127,16 @@ fn selfcheck_endpoints(addr: std::net::SocketAddr) -> Vec<String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut addr = "127.0.0.1:9178".to_string();
-    let mut iterations: Option<usize> = None;
-    let mut smoke = false;
-    let mut selfcheck = false;
-    let mut bench_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr.clone_from(v),
-                None => usage(),
-            },
-            "--iterations" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => iterations = Some(v),
-                None => usage(),
-            },
-            "--bench-dir" => match it.next() {
-                Some(v) => bench_dir = Some(v.clone()),
-                None => usage(),
-            },
-            "--smoke" => smoke = true,
-            "--selfcheck" => selfcheck = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
-    if selfcheck {
-        addr = "127.0.0.1:0".to_string();
-        iterations.get_or_insert(if smoke { 3 } else { 8 });
-    }
+    let args = CLI.from_env();
+    let selfcheck = args.has("--selfcheck");
+    let addr = if selfcheck {
+        "127.0.0.1:0"
+    } else {
+        args.value("--addr").unwrap_or("127.0.0.1:9178")
+    };
     obs::set_enabled(true);
 
-    let mut server = match bench_dir {
-        Some(dir) => serve::spawn_in(&addr, dir.into()),
-        None => serve::spawn(&addr),
-    }
-    .unwrap_or_else(|e| {
+    let mut server = serve::spawn(addr).unwrap_or_else(|e| {
         eprintln!("error: cannot bind {addr}: {e}");
         std::process::exit(2);
     });
@@ -189,43 +144,42 @@ fn main() {
 
     obs::reset();
     timeline::start(timeline::DEFAULT_CAPACITY);
-    let period = Duration::from_millis(if smoke { 50 } else { 250 });
+    let period = Duration::from_millis(if selfcheck { 50 } else { 250 });
     let sampler = telemetry::Sampler::start(period, 256);
 
-    let n = if smoke { 2_001 } else { 50_001 };
+    let n = if selfcheck { 2_001 } else { 50_001 };
     let mut iter = 0usize;
     loop {
         work_iteration(n, iter);
         iter += 1;
-        if let Some(limit) = iterations {
-            if iter >= limit {
+        if selfcheck {
+            if iter >= SELFCHECK_ITERATIONS {
                 break;
             }
         } else {
             // Resident mode: pace the workload so the host stays usable
             // while the endpoints are watched.
-            std::thread::sleep(Duration::from_millis(if smoke { 10 } else { 100 }));
+            std::thread::sleep(Duration::from_millis(100));
         }
     }
+    // Only a selfcheck run leaves the loop; a resident one serves until
+    // killed.
     sampler.force_sample();
     println!("workload done: {iter} iterations of n={n}");
 
-    let mut failed = false;
-    if selfcheck {
-        let errs = selfcheck_endpoints(server.addr());
-        for e in &errs {
-            eprintln!("selfcheck FAIL: {e}");
-        }
-        failed = !errs.is_empty();
-        println!(
-            "selfcheck: {}",
-            if failed {
-                "FAILED"
-            } else {
-                "all endpoints validate"
-            }
-        );
+    let errs = selfcheck_endpoints(server.addr());
+    for e in &errs {
+        eprintln!("selfcheck FAIL: {e}");
     }
+    let failed = !errs.is_empty();
+    println!(
+        "selfcheck: {}",
+        if failed {
+            "FAILED"
+        } else {
+            "all endpoints validate"
+        }
+    );
 
     timeline::stop();
     drop(sampler);

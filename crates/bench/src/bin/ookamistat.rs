@@ -3,13 +3,15 @@
 //! counts next to wall time. Run with:
 //!
 //! ```text
-//! cargo run -p ookami-bench --bin ookamistat --release [--smoke]
+//! cargo run -p ookami-bench --bin ookamistat --release [--smoke] [--trace <path>]
 //! ```
 //!
 //! Switches the obs layer on at start, writes `BENCH_obs.json` (shared
-//! `ookami-bench-v1` schema, self-validated before the write) and prints
-//! the Prometheus text exposition of the session registry.
+//! `ookami-bench-v1` schema, validated as written to disk) and prints
+//! the Prometheus text exposition of the session registry. To watch a
+//! run live over HTTP, use `ookamiserve --addr <host:port>`.
 
+use ookami_bench::probe;
 use ookami_core::obs::{self, Counter, Json};
 use ookami_core::timeline;
 use ookami_hpcc::{dgemm_blocked, Fft};
@@ -28,75 +30,34 @@ fn timed(name: &str, f: impl FnOnce()) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-fn usage() -> ! {
-    println!(
-        "ookamistat — run a slice of every workload family with the obs counters on\n\
-         \n\
-         usage: ookamistat [--smoke] [--trace <path>] [--serve <addr>] [--help]\n\
-         \n\
-         options:\n\
-           --smoke         small problem sizes (CI); default is the full slice\n\
-           --trace <path>  record a timeline and write a Chrome trace-event JSON\n\
-                           file to <path> (open in chrome://tracing or Perfetto)\n\
-           --serve <addr>  serve live /metrics /profile /trace /samples on <addr>\n\
-                           for the duration of the run (port 0 = ephemeral)\n\
-           --help          this text\n\
-         \n\
-         outputs: BENCH_obs.json (ookami-bench-v1 schema) and, with --trace,\n\
-         the Chrome trace; exit is nonzero on any counter sanity failure."
-    );
-    std::process::exit(0)
-}
+const CLI: probe::Cli = probe::Cli {
+    help: "ookamistat — run a slice of every workload family with the obs counters on\n\
+           \n\
+           usage: ookamistat [--smoke] [--trace <path>] [--help]\n\
+           \n\
+           options:\n\
+           \x20 --smoke         small problem sizes (CI); default is the full slice\n\
+           \x20 --trace <path>  record a timeline and write a Chrome trace-event JSON\n\
+           \x20                 file to <path> (open in chrome://tracing or Perfetto)\n\
+           \x20 --help          this text\n\
+           \n\
+           outputs: BENCH_obs.json (ookami-bench-v1 schema) and, with --trace,\n\
+           the Chrome trace; exit is nonzero on any counter sanity failure.",
+    switches: &["--smoke"],
+    options: &["--trace"],
+    max_positional: 0,
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut trace_path: Option<String> = None;
-    let mut serve_addr: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--trace" => {
-                if let Some(p) = it.next() {
-                    trace_path = Some(p.clone());
-                } else {
-                    eprintln!("error: --trace needs a path argument");
-                    std::process::exit(2);
-                }
-            }
-            "--serve" => {
-                if let Some(a) = it.next() {
-                    serve_addr = Some(a.clone());
-                } else {
-                    eprintln!("error: --serve needs a host:port argument");
-                    std::process::exit(2);
-                }
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = CLI.from_env();
+    let smoke = args.smoke();
+    let trace_path = args.value("--trace");
     let scale = if smoke { 1 } else { 4 };
-    obs::set_enabled(true);
-    // Bind before the workload so a watcher can follow the run live; the
-    // handle's Drop stops the server when main returns.
-    let _server = serve_addr.as_deref().map(|addr| {
-        let handle = ookami_core::telemetry::serve::spawn(addr).unwrap_or_else(|e| {
-            eprintln!("error: cannot bind --serve {addr}: {e}");
-            std::process::exit(2);
-        });
-        println!("serving live telemetry on http://{}/", handle.addr());
-        handle
-    });
-    obs::reset();
-    if trace_path.is_some() || serve_addr.is_some() {
+    let mut run = probe::Run::start("ookamistat", args.mode(), true, "BENCH_obs.json");
+    if trace_path.is_some() {
         timeline::start(timeline::DEFAULT_CAPACITY);
     }
-    let mut report = obs::BenchReport::new("ookamistat", if smoke { "smoke" } else { "full" });
+    let report = &mut run.report;
 
     // --- Section III loops through the SVE emulator ---
     let vl = 8;
@@ -165,7 +126,7 @@ fn main() {
 
     // --- trace export (before rendering, so the trace ends at the last
     //     workload event rather than mid-report) ---
-    if let Some(path) = &trace_path {
+    if let Some(path) = trace_path {
         timeline::stop();
         let doc = timeline::export_chrome_trace();
         // The exporter promises Json-parseable output; hold it to that
@@ -194,7 +155,6 @@ fn main() {
 
     // --- render ---
     let snap = obs::snapshot();
-    report.attach_obs(&snap);
 
     println!("ookamistat ({} mode)", if smoke { "smoke" } else { "full" });
     println!("{:>24}  {:>9}", "slice", "seconds");
@@ -233,11 +193,7 @@ fn main() {
     // Counter and span totals plus the region/chunk/barrier histograms.
     print!("{}", ookami_core::telemetry::prometheus());
 
-    report
-        .write("BENCH_obs.json")
-        .expect("write BENCH_obs.json");
-    // Belt and braces: re-read and validate what actually landed on disk.
-    let disk = std::fs::read_to_string("BENCH_obs.json").expect("read back BENCH_obs.json");
-    obs::validate_bench_json(&disk).expect("BENCH_obs.json fails schema validation");
-    println!("wrote BENCH_obs.json (schema ookami-bench-v1, validated)");
+    if !run.finish() {
+        std::process::exit(1);
+    }
 }

@@ -9,180 +9,138 @@
 //! their `schema` tag: `BENCH_*.json` (`ookami-bench-v1`) and the
 //! `ookamicheck` analyzer report (`ookamicheck-v1`) are both accepted.
 //!
-//! With `--derive <file> [--threads N]` it prints the roofline /
-//! bottleneck table `obs::derive` computes from the file's counter
-//! snapshots (per span and in total) against the A64FX machine model.
+//! With `--derive <file>` it prints the roofline / bottleneck table
+//! `obs::derive` computes from the file's counter snapshots (per span and
+//! in total) against the A64FX machine model at the probes' 4-thread team.
+
+use ookami_bench::probe;
+use ookami_core::obs::Json;
+
+/// Team size `--derive` places the counters at: the probes' parallel
+/// sections run 4 threads.
+const DERIVE_THREADS: usize = 4;
+
+type Obj = std::collections::BTreeMap<String, Json>;
+
+fn obj<'a>(v: Option<&'a Json>, at: &str) -> Result<&'a Obj, String> {
+    match v {
+        Some(Json::Obj(m)) => Ok(m),
+        _ => Err(format!("`{at}` must be an object")),
+    }
+}
+
+fn arr<'a>(m: &'a Obj, key: &str) -> Result<&'a [Json], String> {
+    match m.get(key) {
+        Some(Json::Arr(a)) => Ok(a),
+        _ => Err(format!("`{key}` must be an array")),
+    }
+}
+
+fn non_empty_str(m: &Obj, key: &str, at: &str) -> Result<(), String> {
+    match m.get(key) {
+        Some(Json::Str(s)) if !s.is_empty() => Ok(()),
+        _ => Err(format!("`{at}.{key}` must be a non-empty string")),
+    }
+}
+
+fn non_neg_num(m: &Obj, key: &str, at: &str) -> Result<(), String> {
+    match m.get(key) {
+        Some(Json::Num(n)) if *n >= 0.0 => Ok(()),
+        _ => Err(format!("`{at}.{key}` must be a non-negative number")),
+    }
+}
+
+/// Check every entry of the array `key` of `top`: each must be an object
+/// passing `entry`, which gets the entry and its `key[i]` label.
+fn each(
+    top: &Obj,
+    key: &str,
+    entry: impl Fn(&Obj, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    for (i, e) in arr(top, key)?.iter().enumerate() {
+        let at = format!("{key}[{i}]");
+        entry(obj(Some(e), &at)?, &at)?;
+    }
+    Ok(())
+}
+
+fn failures_field(top: &Obj) -> Result<(), String> {
+    match top.get("failures") {
+        Some(Json::Num(_)) => Ok(()),
+        _ => Err("`failures` must be a number".to_string()),
+    }
+}
 
 /// Shape-check an `ookamicheck-v1` document (written by the
 /// `ookamicheck` bin): per-program diagnostic counts plus the race
 /// summary, everything CI consumes from the uploaded artifact.
-fn validate_ookamicheck_json(text: &str) -> Result<(), String> {
-    use ookami_core::obs::Json;
-    let v = Json::parse(text)?;
-    let Json::Obj(obj) = &v else {
-        return Err("top level must be an object".to_string());
-    };
-    let Some(Json::Arr(programs)) = obj.get("programs") else {
-        return Err("`programs` must be an array".to_string());
-    };
-    for (i, p) in programs.iter().enumerate() {
-        let Json::Obj(m) = p else {
-            return Err(format!("`programs[{i}]` must be an object"));
-        };
-        match m.get("program") {
-            Some(Json::Str(s)) if !s.is_empty() => {}
-            _ => {
-                return Err(format!(
-                    "`programs[{i}].program` must be a non-empty string"
-                ))
-            }
-        }
+fn validate_ookamicheck_json(top: &Obj) -> Result<(), String> {
+    each(top, "programs", |m, at| {
+        non_empty_str(m, "program", at)?;
         for key in ["instructions", "errors", "warnings"] {
-            match m.get(key) {
-                Some(Json::Num(n)) if *n >= 0.0 => {}
-                _ => {
-                    return Err(format!(
-                        "`programs[{i}].{key}` must be a non-negative number"
-                    ))
-                }
-            }
+            non_neg_num(m, key, at)?;
         }
-        if !matches!(m.get("diagnostics"), Some(Json::Arr(_))) {
-            return Err(format!("`programs[{i}].diagnostics` must be an array"));
-        }
-    }
-    let Some(Json::Obj(race)) = obj.get("race") else {
-        return Err("`race` must be an object".to_string());
-    };
+        arr(m, "diagnostics").map(|_| ())
+    })?;
+    let race = obj(top.get("race"), "race")?;
     for key in ["events", "races"] {
         if !matches!(race.get(key), Some(Json::Num(_))) {
             return Err(format!("`race.{key}` must be a number"));
         }
     }
-    if !matches!(obj.get("failures"), Some(Json::Num(_))) {
-        return Err("`failures` must be a number".to_string());
-    }
-    Ok(())
+    failures_field(top)
 }
 
 /// Shape-check an `ookamicheck-tv-v1` document (written by `ookamicheck
 /// --tv`): per-trace translation-validation outcomes plus the mutation
 /// self-test tallies.
-fn validate_ookamicheck_tv_json(text: &str) -> Result<(), String> {
-    use ookami_core::obs::Json;
-    let v = Json::parse(text)?;
-    let Json::Obj(obj) = &v else {
-        return Err("top level must be an object".to_string());
-    };
-    let Some(Json::Arr(traces)) = obj.get("traces") else {
-        return Err("`traces` must be an array".to_string());
-    };
-    for (i, t) in traces.iter().enumerate() {
-        let Json::Obj(m) = t else {
-            return Err(format!("`traces[{i}]` must be an object"));
-        };
-        match m.get("trace") {
-            Some(Json::Str(s)) if !s.is_empty() => {}
-            _ => return Err(format!("`traces[{i}].trace` must be a non-empty string")),
+fn validate_ookamicheck_tv_json(top: &Obj) -> Result<(), String> {
+    each(top, "traces", |m, at| {
+        non_empty_str(m, "trace", at)?;
+        non_neg_num(m, "errors", at)?;
+        match m.get("counters_checked") {
+            Some(Json::Bool(_)) => Ok(()),
+            _ => Err(format!("`{at}.counters_checked` must be a bool")),
         }
-        match m.get("errors") {
-            Some(Json::Num(n)) if *n >= 0.0 => {}
-            _ => {
-                return Err(format!(
-                    "`traces[{i}].errors` must be a non-negative number"
-                ))
-            }
-        }
-        if !matches!(m.get("counters_checked"), Some(Json::Bool(_))) {
-            return Err(format!("`traces[{i}].counters_checked` must be a bool"));
-        }
-    }
-    let Some(Json::Arr(challenge)) = obj.get("challenge") else {
-        return Err("`challenge` must be an array".to_string());
-    };
-    for (i, c) in challenge.iter().enumerate() {
-        let Json::Obj(m) = c else {
-            return Err(format!("`challenge[{i}]` must be an object"));
-        };
-        match m.get("base") {
-            Some(Json::Str(s)) if !s.is_empty() => {}
-            _ => return Err(format!("`challenge[{i}].base` must be a non-empty string")),
-        }
-        for key in ["rejected", "divergent"] {
-            match m.get(key) {
-                Some(Json::Num(n)) if *n >= 0.0 => {}
-                _ => {
-                    return Err(format!(
-                        "`challenge[{i}].{key}` must be a non-negative number"
-                    ))
-                }
-            }
-        }
-    }
-    if !matches!(obj.get("failures"), Some(Json::Num(_))) {
-        return Err("`failures` must be a number".to_string());
-    }
-    Ok(())
+    })?;
+    each(top, "challenge", |m, at| {
+        non_empty_str(m, "base", at)?;
+        non_neg_num(m, "rejected", at)?;
+        non_neg_num(m, "divergent", at)
+    })?;
+    failures_field(top)
 }
 
 /// Dispatch on the document's `schema` tag so one `--validate` invocation
 /// covers every report kind the repo writes.
 fn validate_any(text: &str) -> Result<(), String> {
-    use ookami_core::obs::Json;
-    let tag = match Json::parse(text)? {
-        Json::Obj(m) => match m.get("schema") {
-            Some(Json::Str(s)) => s.clone(),
-            other => return Err(format!("`schema` must be a string, got {other:?}")),
-        },
-        _ => return Err("top level must be an object".to_string()),
-    };
-    match tag.as_str() {
-        "ookamicheck-v1" => validate_ookamicheck_json(text),
-        "ookamicheck-tv-v1" => validate_ookamicheck_tv_json(text),
-        _ => ookami_core::obs::validate_bench_json(text),
+    let doc = Json::parse(text)?;
+    let top = obj(Some(&doc), "top level")?;
+    match top.get("schema") {
+        Some(Json::Str(s)) if s == "ookamicheck-v1" => validate_ookamicheck_json(top),
+        Some(Json::Str(s)) if s == "ookamicheck-tv-v1" => validate_ookamicheck_tv_json(top),
+        Some(Json::Str(_)) => ookami_core::obs::validate_bench_json(text),
+        other => Err(format!("`schema` must be a string, got {other:?}")),
     }
 }
 
-fn usage(code: i32) -> ! {
-    println!(
-        "report — regenerate the full reproduction report, or inspect BENCH files\n\
-         \n\
-         usage:\n\
-           report                         full report on stdout\n\
-           report --validate <file>...    schema-check report files\n\
-                                          (BENCH_*.json, OOKAMICHECK*.json)\n\
-           report --derive <file> [--threads N]\n\
-                                          roofline/bottleneck table from a\n\
-                                          BENCH_*.json with counters (default\n\
-                                          threads: 4, matching the probes)\n\
-           report --help                  this text"
-    );
-    std::process::exit(code)
-}
+const CLI: probe::Cli = probe::Cli {
+    help: "report — regenerate the full reproduction report, or inspect BENCH files\n\
+           \n\
+           usage:\n\
+           \x20 report                       full report on stdout\n\
+           \x20 report --validate <file>...  schema-check report files\n\
+           \x20                              (BENCH_*.json, OOKAMICHECK*.json)\n\
+           \x20 report --derive <file>       roofline/bottleneck table from a\n\
+           \x20                              BENCH_*.json with counters (4 threads,\n\
+           \x20                              matching the probes)\n\
+           \x20 report --help                this text",
+    switches: &["--validate", "--derive"],
+    options: &[],
+    max_positional: usize::MAX,
+};
 
-fn run_derive(args: &[String]) -> ! {
-    let mut file: Option<&String> = None;
-    let mut threads = 4usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threads" => {
-                threads = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("error: --threads needs a positive integer");
-                    std::process::exit(2);
-                });
-            }
-            _ if file.is_none() => file = Some(a),
-            other => {
-                eprintln!("error: unexpected argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(file) = file else {
-        eprintln!("usage: report --derive <BENCH_*.json> [--threads N]");
-        std::process::exit(2);
-    };
+fn run_derive(file: &str) -> ! {
     let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
         eprintln!("FAIL {file}: {e}");
         std::process::exit(2);
@@ -191,9 +149,9 @@ fn run_derive(args: &[String]) -> ! {
         eprintln!("FAIL {file}: not a valid ookami-bench-v1 document: {e}");
         std::process::exit(2);
     }
-    let doc = ookami_core::obs::Json::parse(&text).expect("validated JSON reparses");
+    let doc = Json::parse(&text).expect("validated JSON reparses");
     let m = ookami_uarch::machines::a64fx();
-    match ookami_core::obs::derive::derive_bench_doc(&doc, m, threads) {
+    match ookami_core::obs::derive::derive_bench_doc(&doc, m, DERIVE_THREADS) {
         Ok(rows) if rows.is_empty() => {
             println!(
                 "{file}: no counter snapshots to derive from (was the probe run \
@@ -204,7 +162,7 @@ fn run_derive(args: &[String]) -> ! {
         Ok(rows) => {
             print!(
                 "{}",
-                ookami_core::obs::derive::render_table(&rows, m, threads)
+                ookami_core::obs::derive::render_table(&rows, m, DERIVE_THREADS)
             );
             std::process::exit(0);
         }
@@ -216,38 +174,37 @@ fn run_derive(args: &[String]) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage(0);
-    }
-    if args.first().map(String::as_str) == Some("--derive") {
-        run_derive(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("--validate") {
-        let files = &args[1..];
-        if files.is_empty() {
-            eprintln!("usage: report --validate BENCH_*.json");
-            std::process::exit(2);
+    let args = CLI.from_env();
+    let files = &args.positional;
+    match (args.has("--derive"), args.has("--validate")) {
+        (true, true) => probe::usage_error("--derive and --validate are exclusive"),
+        (true, false) => match files.as_slice() {
+            [file] => run_derive(file),
+            _ => probe::usage_error("--derive takes one BENCH_*.json file"),
+        },
+        (false, true) if files.is_empty() => {
+            probe::usage_error("--validate needs at least one file");
         }
-        for f in files {
-            let text = match std::fs::read_to_string(f) {
-                Ok(t) => t,
-                Err(e) => {
+        (false, true) => {
+            for f in files {
+                let checked = std::fs::read_to_string(f)
+                    .map_err(|e| e.to_string())
+                    .and_then(|text| validate_any(&text));
+                if let Err(e) = checked {
                     eprintln!("FAIL {f}: {e}");
                     std::process::exit(1);
                 }
-            };
-            match validate_any(&text) {
-                Ok(()) => println!("OK {f}"),
-                Err(e) => {
-                    eprintln!("FAIL {f}: {e}");
-                    std::process::exit(1);
-                }
+                println!("OK {f}");
             }
         }
-        return;
+        (false, false) if !files.is_empty() => {
+            probe::usage_error(&format!("unexpected argument `{}`", files[0]));
+        }
+        (false, false) => print_full_report(),
     }
+}
 
+fn print_full_report() {
     println!("# ookami — full reproduction report\n");
     println!("Regenerated from the models and emulator; see EXPERIMENTS.md for the");
     println!("paper-vs-produced ledger and DESIGN.md for the substitutions.\n");

@@ -14,7 +14,9 @@
 //!    the single-core runtime. That is the headline claim the SELL-C-σ
 //!    format rests on.
 //! 3. **Replay-over-interpreter floors** (full mode only): replaying the
-//!    recorded trace must beat re-interpreting the kernel per block.
+//!    recorded trace must beat re-interpreting the kernel per block —
+//!    `spmv_replay_speedup` and `stream_replay_speedup` in
+//!    [`ookami_bench::probe::LIMITS`].
 //!
 //! Writes `BENCH_spmv.json` (schema `ookami-bench-v1`) with the obs
 //! counters the run produced (the probe switches the obs layer on). Run
@@ -25,23 +27,26 @@
 //! ```
 
 use ookami_bench::ecm::{ecm_families, ecm_hints, ecm_spmv_fixture, ecm_table_rows, ECM_STREAM_N};
+use ookami_bench::probe::{self, best_of};
+use ookami_core::auto_threads;
 use ookami_core::obs::derive::render_ecm_table;
-use ookami_core::{auto_threads, obs};
 use ookami_spmv::{
     run_crs_interp, run_crs_replay, run_crs_replay_par, run_sell_replay, run_stream, stream_ref,
     stream_trace, SellCSigma, Stencil, StreamExec, StreamKernel,
 };
-use std::time::Instant;
 
-fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
+const CLI: probe::Cli = probe::Cli {
+    help: "spmv — SpMV (CRS vs SELL-C-σ), STREAM and stencil executors + the ECM table\n\
+           \n\
+           usage: spmv [--smoke]\n\
+           \n\
+           --smoke  CI-sized rates; identity and ECM gates only, no replay floors\n\
+           \n\
+           writes BENCH_spmv.json",
+    switches: &["--smoke"],
+    options: &[],
+    max_positional: 0,
+};
 
 fn bits_eq(name: &str, want: &[f64], got: &[f64]) -> bool {
     let ok = want.len() == got.len()
@@ -57,10 +62,9 @@ fn bits_eq(name: &str, want: &[f64], got: &[f64]) -> bool {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    obs::set_enabled(true);
-    obs::reset();
-    let obs_before = obs::snapshot();
+    let args = CLI.from_env();
+    let smoke = args.smoke();
+    let mut run = probe::Run::start("spmv", args.mode(), true, "BENCH_spmv.json");
     let reps = if smoke { 2 } else { 5 };
     let vl = 8;
     let host_cores = auto_threads();
@@ -83,22 +87,9 @@ fn main() {
     let sc: Vec<f64> = (0..n).map(|i| 0.5 + i as f64).collect();
     let triad = stream_trace(StreamKernel::Triad, vl);
     let triad_want = stream_ref(StreamKernel::Triad, &sb, Some(&sc));
-    let triad_replay = run_stream(
-        &triad,
-        StreamKernel::Triad,
-        StreamExec::Replay,
-        1,
-        &sb,
-        Some(&sc),
-    );
-    let triad_compiled = run_stream(
-        &triad,
-        StreamKernel::Triad,
-        StreamExec::Compiled,
-        1,
-        &sb,
-        Some(&sc),
-    );
+    let run_triad = |exec| run_stream(&triad, StreamKernel::Triad, exec, 1, &sb, Some(&sc));
+    let triad_replay = run_triad(StreamExec::Replay);
+    let triad_compiled = run_triad(StreamExec::Compiled);
     let st = Stencil::d2(32, 32, 0.5, -0.125);
     let field = st.field();
     let st_trace = st.trace(&field, vl, vl as u32);
@@ -129,24 +120,10 @@ fn main() {
         std::hint::black_box(run_crs_replay_par(4, &tc, &m));
     });
     let triad_replay_s = best_of(reps, || {
-        std::hint::black_box(run_stream(
-            &triad,
-            StreamKernel::Triad,
-            StreamExec::Replay,
-            1,
-            &sb,
-            Some(&sc),
-        ));
+        std::hint::black_box(run_triad(StreamExec::Replay));
     });
     let triad_interp_s = best_of(reps, || {
-        std::hint::black_box(run_stream(
-            &triad,
-            StreamKernel::Triad,
-            StreamExec::Interp,
-            1,
-            &sb,
-            Some(&sc),
-        ));
+        std::hint::black_box(run_triad(StreamExec::Interp));
     });
     let spmv_replay_speedup = crs_interp_s / crs_s;
     let stream_replay_speedup = triad_interp_s / triad_replay_s;
@@ -199,8 +176,7 @@ fn main() {
     );
 
     let gate = bit_identical && ecm_gate;
-    let mut report = obs::BenchReport::new("spmv", if smoke { "smoke" } else { "full" });
-    report
+    run.report
         .metric("n_rows", m.n_rows as f64)
         .metric("nnz", nnz)
         .metric("crs_elems_per_sec", nnz / crs_s)
@@ -223,28 +199,8 @@ fn main() {
         .flag("ecm_crs_bound", crs_row.model.bound_name())
         .flag("ecm_triad_bound", triad_row.model.bound_name())
         .flag("bit_identical", bit_identical)
-        .flag("gate", gate)
-        .attach_obs(&obs::snapshot().since(&obs_before));
-    report
-        .write("BENCH_spmv.json")
-        .expect("write BENCH_spmv.json");
-    println!("wrote BENCH_spmv.json");
-
-    if !gate {
-        std::process::exit(1);
-    }
-    // Replay-over-interpreter floors: recording once and replaying the
-    // fused recipes must clearly beat per-block re-interpretation for the
-    // gather-heavy SpMV kernel. STREAM's one-instruction body is the
-    // worst case for the replayer — with the obs switch on, its per-block
-    // counter accounting outweighs the single fused op and the
-    // interpreter wins (~0.5x here) — so that floor only guards against
-    // a catastrophic slowdown. Only meaningful at full problem size.
-    if !smoke && (spmv_replay_speedup < 1.2 || stream_replay_speedup < 0.4) {
-        eprintln!(
-            "FAIL: replay floors: spmv {spmv_replay_speedup:.2}x (need >= 1.2x), \
-             stream {stream_replay_speedup:.2}x (need >= 0.4x)"
-        );
+        .flag("gate", gate);
+    if !run.finish() || !gate {
         std::process::exit(1);
     }
     if smoke {

@@ -13,20 +13,21 @@
 //! cargo run -p ookami-bench --bin svereplay --release [--smoke]
 //! ```
 //!
-//! `--smoke` (CI mode) shrinks the sweep and skips the speedup gates —
+//! `--smoke` (CI mode) shrinks the sweep and skips the speedup bars —
 //! shared runners are too noisy for hard perf assertions — but still
-//! enforces every identity check. The full run fails (exit 1) unless
-//! replay is at least 5× the interpreter and the compiled path is at
-//! least 5× replay. The probe switches the obs layer on at start, the
-//! configuration the committed baseline records.
+//! enforces every identity check. The full run fails (exit 1) on any bar
+//! of [`ookami_bench::probe::LIMITS`] it publishes: `speedup` (replay vs
+//! the interpreter) and `compiled_speedup` (compiled vs replay). The
+//! probe switches the obs layer on at start, the configuration the
+//! committed baseline records.
 //!
 //! The probe also sweeps both parallel executors over 1/2/4/8 threads and
 //! publishes `replay_par_speedup` / `compiled_par_speedup` (4 threads vs
-//! the engine's own serial path) together with `host_cores`, so
-//! `benchdiff` can gate parallel scaling wherever the host actually has
-//! the cores; on boxes with fewer than 4 cores the pool runs regions
-//! inline and the par floors are skipped rather than faked.
+//! the engine's own serial path) together with `host_cores`: the par bars
+//! apply only where the host has the cores; on smaller boxes the pool
+//! runs regions inline and the bars are skipped rather than faked.
 
+use ookami_bench::probe::{self, best_of, identity_delta, IDENTITY_COUNTERS};
 use ookami_core::{auto_threads, obs};
 use ookami_sve::SveCtx;
 use ookami_uarch::{Instr, OpClass, Reg, Width};
@@ -35,12 +36,26 @@ use ookami_vecmath::exp::{
 };
 use ookami_vecmath::ulp::sample_range;
 use std::collections::HashMap;
-use std::time::Instant;
+
+const CLI: probe::Cli = probe::Cli {
+    help: "svereplay — exp sweep through interpreter, replayer and compiled engine\n\
+           \n\
+           usage: svereplay [--smoke]\n\
+           \n\
+           --smoke  CI-sized sweep; identity checks only, no speedup bars\n\
+           \n\
+           writes BENCH_sve.json and target/COMPILE_REPORT.json",
+    switches: &["--smoke"],
+    options: &[],
+    max_positional: 0,
+};
 
 /// Thread counts swept by the parallel throughput section. 4 is the
 /// headline (one A64FX CMG's worth of meaningful scaling on commodity
 /// hosts); 8 probes oversubscription.
 const SWEEP_THREADS: [usize; 4] = [1, 2, 4, 8];
+/// Index of the 4-thread headline in [`SWEEP_THREADS`].
+const HEADLINE: usize = 2;
 
 const VARIANTS: [ExpVariant; 5] = [
     ExpVariant::FexpaHorner,
@@ -87,57 +102,10 @@ fn canon(instrs: &[Instr]) -> Vec<CanonInstr> {
         .collect()
 }
 
-fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// The counters that must be exactly equal across the three executors
-/// (byte counters are compared separately: the interpreter's harness
-/// stages padded tail lanes, so only replay-vs-compiled agree on bytes).
-const IDENTITY_COUNTERS: [&str; 13] = [
-    "sve_instrs",
-    "sve_lanes_active",
-    "port_fla",
-    "port_flb",
-    "port_pr",
-    "port_exa",
-    "port_exb",
-    "port_eaga",
-    "port_eagb",
-    "port_br",
-    "gather_elems",
-    "scatter_elems",
-    "fexpa_issues",
-];
-
-/// Per-thread obs deltas of `f`, projected onto [`IDENTITY_COUNTERS`]
-/// (first array) and the byte counters (second).
-fn counter_delta(f: impl FnOnce()) -> ([u64; 13], [u64; 2]) {
-    let before = obs::thread_snapshot();
-    f();
-    let d = obs::thread_snapshot().since(&before);
-    let mut out = [0u64; 13];
-    for (slot, name) in out.iter_mut().zip(IDENTITY_COUNTERS.iter()) {
-        *slot = d.get(obs::Counter::from_name(name).expect("known counter"));
-    }
-    let bytes = [
-        d.get(obs::Counter::BytesLoaded),
-        d.get(obs::Counter::BytesStored),
-    ];
-    (out, bytes)
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    obs::set_enabled(true);
-    obs::reset();
-    let obs_before = obs::snapshot();
+    let args = CLI.from_env();
+    let smoke = args.smoke();
+    let mut run = probe::Run::start("svereplay", args.mode(), true, "BENCH_sve.json");
     let vl = 8usize;
     let n = if smoke { 4_001 } else { 40_001 };
     let reps = if smoke { 2 } else { 5 };
@@ -177,21 +145,24 @@ fn main() {
 
         // Counter identity across the three executors: the kernel's
         // retired-op totals must not depend on the execution strategy.
-        let (ci, _) = counter_delta(|| {
+        let (ci, _) = identity_delta(|| {
             std::hint::black_box(exp_slice_interp(vl, &xs, v));
         });
-        let (cr, br) = counter_delta(|| {
+        let (cr, br) = identity_delta(|| {
             std::hint::black_box(t.replay_map(&xs));
         });
-        let (cc, bc) = counter_delta(|| {
+        let (cc, bc) = identity_delta(|| {
             std::hint::black_box(ct.map(&xs));
         });
-        for (k, name) in IDENTITY_COUNTERS.iter().enumerate() {
+        for (k, c) in IDENTITY_COUNTERS.iter().enumerate() {
             if !(ci[k] == cr[k] && cr[k] == cc[k]) {
                 counters_identical = false;
                 eprintln!(
-                    "FAIL: {v:?} counter {name}: interp {} / replay {} / compiled {}",
-                    ci[k], cr[k], cc[k]
+                    "FAIL: {v:?} counter {}: interp {} / replay {} / compiled {}",
+                    c.name(),
+                    ci[k],
+                    cr[k],
+                    cc[k]
                 );
             }
         }
@@ -228,34 +199,19 @@ fn main() {
     let compiled_s = best_of(reps * 4, || {
         std::hint::black_box(ct.map(&xs));
     });
-    // Thread-scaling sweep: each entry is (threads, best-of seconds).
-    let replay_sweep: Vec<(usize, f64)> = SWEEP_THREADS
-        .iter()
-        .map(|&th| {
-            let s = best_of(reps * 4, || {
-                std::hint::black_box(t.replay_par_map(th, &xs));
-            });
-            (th, s)
+    // Thread-scaling sweep: best-of seconds per `SWEEP_THREADS` entry.
+    let replay_sweep = SWEEP_THREADS.map(|th| {
+        best_of(reps * 4, || {
+            std::hint::black_box(t.replay_par_map(th, &xs));
         })
-        .collect();
-    let compiled_sweep: Vec<(usize, f64)> = SWEEP_THREADS
-        .iter()
-        .map(|&th| {
-            let s = best_of(reps * 4, || {
-                std::hint::black_box(ct.par_map(th, &xs));
-            });
-            (th, s)
+    });
+    let compiled_sweep = SWEEP_THREADS.map(|th| {
+        best_of(reps * 4, || {
+            std::hint::black_box(ct.par_map(th, &xs));
         })
-        .collect();
-    let sweep_at = |sweep: &[(usize, f64)], th: usize| {
-        sweep
-            .iter()
-            .find(|&&(t, _)| t == th)
-            .map(|&(_, s)| s)
-            .expect("thread count is in the sweep")
-    };
-    let par_s = sweep_at(&replay_sweep, 4);
-    let compiled_par_s = sweep_at(&compiled_sweep, 4);
+    });
+    let par_s = replay_sweep[HEADLINE];
+    let compiled_par_s = compiled_sweep[HEADLINE];
     // `Trace::compile` clones the trace, so every call re-runs the full
     // pass pipeline + kernel emission: the one-time cost a caller pays
     // before amortizing it over replays.
@@ -272,8 +228,8 @@ fn main() {
     let compiled_speedup = compiled_eps / replay_eps;
     // Parallel scaling vs each engine's own serial path at the headline
     // thread count (4). On a host with < 4 cores the pool clamps worker
-    // count and these ratios hover near 1.0 — which is why both the probe
-    // gate below and benchdiff's floors key off `host_cores`.
+    // count and these ratios hover near 1.0 — which is why their bars key
+    // off `host_cores`.
     let host_cores = auto_threads();
     let replay_par_speedup = replay_s / par_s;
     let compiled_par_speedup = compiled_s / compiled_par_s;
@@ -295,26 +251,23 @@ fn main() {
         "  compiled par4: {compiled_par_eps:>11.0} elems/s  ({compiled_par_speedup:.2}x serial compiled)"
     );
     println!("  scaling ({host_cores} host core(s)):");
-    for &(th, s) in &replay_sweep {
-        println!("    replay   x{th}: {:>12.0} elems/s", n as f64 / s);
-    }
-    for &(th, s) in &compiled_sweep {
-        println!("    compiled x{th}: {:>12.0} elems/s", n as f64 / s);
+    let sweeps = [("replay", replay_sweep), ("compiled", compiled_sweep)];
+    for (engine, sweep) in &sweeps {
+        for (th, s) in SWEEP_THREADS.iter().zip(sweep) {
+            println!("    {engine:<8} x{th}: {:>12.0} elems/s", n as f64 / s);
+        }
     }
     println!(
         "  bit-identical: {bit_identical}   counters identical: {counters_identical}   \
          instruction streams identical: {instrs_identical}"
     );
 
-    let mut report = obs::BenchReport::new("svereplay", if smoke { "smoke" } else { "full" });
-    report
+    run.report
         .metric("vl", vl as f64)
         .metric("elements", n as f64)
         .metric("interp_elems_per_sec", interp_eps)
         .metric("replay_elems_per_sec", replay_eps)
-        .metric("replay_par4_elems_per_sec", par_eps)
         .metric("compiled_elems_per_sec", compiled_eps)
-        .metric("compiled_par4_elems_per_sec", compiled_par_eps)
         .metric("record_cost_us", record_s * 1e6)
         .metric("compile_cost_us", compile_s * 1e6)
         .metric("speedup", speedup)
@@ -325,20 +278,15 @@ fn main() {
         .flag("variant", format!("{headline:?}"))
         .flag("bit_identical", bit_identical)
         .flag("counters_identical", counters_identical)
-        .flag("instr_streams_identical", instrs_identical)
-        .attach_obs(&obs::snapshot().since(&obs_before));
-    // Full sweep points (the par4 entries above are the headline pair and
-    // already covered; the rest chart the scaling curve).
-    for &(th, s) in replay_sweep.iter().filter(|&&(th, _)| th != 4) {
-        report.metric(&format!("replay_par{th}_elems_per_sec"), n as f64 / s);
+        .flag("instr_streams_identical", instrs_identical);
+    // Every sweep point: par4 is the headline, the rest chart the curve.
+    for (engine, sweep) in &sweeps {
+        for (th, s) in SWEEP_THREADS.iter().zip(sweep) {
+            run.report
+                .metric(&format!("{engine}_par{th}_elems_per_sec"), n as f64 / s);
+        }
     }
-    for &(th, s) in compiled_sweep.iter().filter(|&&(th, _)| th != 4) {
-        report.metric(&format!("compiled_par{th}_elems_per_sec"), n as f64 / s);
-    }
-    report
-        .write("BENCH_sve.json")
-        .expect("write BENCH_sve.json");
-    println!("wrote BENCH_sve.json");
+    let limits_hold = run.finish();
 
     // Per-variant pass-pipeline summary (uploaded as a CI artifact).
     let entries: Vec<String> = compile_reports
@@ -368,37 +316,8 @@ fn main() {
     std::fs::write("target/COMPILE_REPORT.json", &doc).expect("write compile report");
     println!("wrote target/COMPILE_REPORT.json");
 
-    if !bit_identical || !instrs_identical || !counters_identical {
+    if !bit_identical || !instrs_identical || !counters_identical || !limits_hold {
         std::process::exit(1);
-    }
-    if !smoke && speedup < 5.0 {
-        eprintln!("FAIL: replay speedup {speedup:.2}x < 5x over the per-op interpreter");
-        std::process::exit(1);
-    }
-    // The compiled floor is calibrated against the obs-on accounting the
-    // committed baseline records.
-    if !smoke && compiled_speedup < 5.0 {
-        eprintln!("FAIL: compiled speedup {compiled_speedup:.2}x < 5x over the replayer");
-        std::process::exit(1);
-    }
-    // Parallel-scaling floors are capability-gated: with < 4 host cores
-    // the pool runs regions inline (or with too few workers) and a 3x bar
-    // would fail for reasons that have nothing to do with the code.
-    if !smoke && host_cores >= 4 {
-        if replay_par_speedup < 3.0 {
-            eprintln!(
-                "FAIL: replay par4 speedup {replay_par_speedup:.2}x < 3x on a \
-                 {host_cores}-core host"
-            );
-            std::process::exit(1);
-        }
-        if compiled_par_speedup < 3.0 {
-            eprintln!(
-                "FAIL: compiled par4 speedup {compiled_par_speedup:.2}x < 3x on a \
-                 {host_cores}-core host"
-            );
-            std::process::exit(1);
-        }
     }
     if smoke {
         println!(
@@ -407,8 +326,8 @@ fn main() {
         );
     } else {
         println!(
-            "OK: replay is {speedup:.1}x the interpreter (>= 5x); compiled is \
-             {compiled_speedup:.1}x replay"
+            "OK: identity checks and speedup bars hold; replay is {speedup:.1}x the \
+             interpreter, compiled is {compiled_speedup:.1}x replay"
         );
     }
 }

@@ -5,9 +5,12 @@
 //! * `figures <fig1|fig2|sec4|fig3|fig4|fig5|fig6|fig7|fig8|fig9|all> [--csv]`
 //!   — regenerate any figure of the paper as a text table (or CSV rows);
 //! * `tables <table1|table2|table3|all>` — regenerate the paper's tables;
-//! * `forkjoin [reps]` — fork/barrier overhead probe: persistent pool vs
+//! * `forkjoin` — fork/barrier overhead probe: persistent pool vs
 //!   spawn-per-region, plus fitted `BarrierCost` constants for the OpenMP
 //!   runtime model.
+//!
+//! Every binary parses its arguments, writes its `BENCH_*.json` and checks
+//! its perf bars through the shared [`probe`] harness.
 //!
 //! Criterion benches (run with `cargo bench -p ookami-bench`):
 //!
@@ -24,6 +27,7 @@ pub mod ablations;
 pub mod accuracy;
 pub mod ecm;
 pub mod family;
+pub mod probe;
 
 use ookami_core::measure::{to_csv, Measurement};
 

@@ -1,7 +1,7 @@
 //! Dependency-free blocking HTTP/1.1 endpoint serving the live telemetry
 //! surface: `std::net::TcpListener` + a thread per connection, no new
-//! crates (consistent with the vendored-shim policy). Embeddable behind
-//! any probe via `--serve <addr>`; `ookamiserve` wraps it standalone.
+//! crates (consistent with the vendored-shim policy). The `ookamiserve`
+//! bin is its one serving entry point.
 //!
 //! Endpoint contract (all `GET`, anything else is `405`):
 //!

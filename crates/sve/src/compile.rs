@@ -16,22 +16,22 @@
 //!    lattice value, so a verified trace stays verified (the satellite
 //!    `ookamicheck` run re-proves every optimized family trace).
 //! 2. **Kernel emission** — the optimized body becomes a straight line of
-//!    monomorphized kernels ([`K`]) over 512-lane register-cached rows
-//!    (`[u64; 512]`, SoA per SSA slot): splat constants become immediate
+//!    monomorphized kernels ([`K`]) over `W`-lane (128) register-cached
+//!    rows (`[u64; W]`, SoA per SSA slot): splat constants become immediate
 //!    operands, adjacent `fmul`→`fcvtns` and `fmul`→`fmla` pairs fuse when
 //!    the intermediate is single-use, and all-true predicates drop their
 //!    mask tests entirely. Ops under a genuinely narrow predicate compute
 //!    unmasked and then merge (`(new & m) | (first_src & !m)`) — bitwise
 //!    identical to the replayer's merging predication.
 //! 3. **Block-scaled accounting** — obs counters are bumped once per
-//!    512-lane block from the *original* (pre-pass) body, with lane counts
+//!    `W`-lane block from the *original* (pre-pass) body, with lane counts
 //!    resolved per [`ookami_uarch::meta::lane_accounting`]; on full blocks
 //!    every per-`vl`-iteration count the interpreter or replayer would
 //!    produce is a linear function of blocks × active lanes, so one
 //!    aggregated bump per op yields bit-equal totals (see
 //!    DESIGN.md §4.7 for the argument).
 //!
-//! Ragged tails (the final `n mod 512` elements) and traces the native
+//! Ragged tails (the final `n mod W` elements) and traces the native
 //! plan cannot express (loop-carried state, `compact`, gather/scatter)
 //! fall back to the replayer on the **original** trace, preserving both
 //! bits and counters exactly.
@@ -520,7 +520,7 @@ pub(crate) fn fold_op(op: &TOp, consts: &HashMap<Slot, Vec<u64>>, vl: usize) -> 
 // Native plan
 // ---------------------------------------------------------------------------
 
-/// One fused native kernel over 512-lane rows. `RI` forms carry a splat
+/// One fused native kernel over `W`-lane rows. `RI` forms carry a splat
 /// constant as an immediate (normalized onto the second operand through
 /// bitwise-safe commutativity; `fmls` folds its sign into the immediate).
 /// Predication is handled outside the kernel: an op under a narrow mask
@@ -685,7 +685,7 @@ enum Acct {
     LibmA,
 }
 
-/// Everything needed to run full 512-lane blocks without touching the
+/// Everything needed to run full `W`-lane blocks without touching the
 /// [`Trace`]: initial row images, the kernel line, and the accounting
 /// program derived from the *original* body.
 #[derive(Debug)]
@@ -1384,7 +1384,7 @@ impl Plan {
         !self.acct.is_empty() && obs::enabled()
     }
 
-    /// Execute one full 512-lane block starting at element `i`; `count`
+    /// Execute one full `W`-lane block starting at element `i`; `count`
     /// comes from [`Plan::counts_per_chunk`].
     fn run_chunk(&self, st: &mut State, ins: &[&[f64]], out: &mut [f64], i: usize, count: bool) {
         for (k, &slot) in self.inputs.iter().enumerate() {
@@ -1814,8 +1814,8 @@ mod tests {
         let t = Trace::record1(8, exp_like);
         let ct = t.compile();
         assert!(ct.is_native());
-        // Below one block (pure fallback), one exact block, block+ragged
-        // tail, and several blocks + tail.
+        // Below one block (pure fallback), whole blocks, blocks + ragged
+        // tail, and several blocks + tail (W = 128 lanes per block).
         for n in [37usize, 512, 513, 1024 + 101, 3 * 512 + 7] {
             let xs = sample(n);
             assert_eq!(bits(&ct.map(&xs)), bits(&t.replay_map(&xs)), "n={n}");

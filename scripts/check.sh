@@ -4,7 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-export RUSTFLAGS="-D warnings"
+# RUSTFLAGS replaces `[build] rustflags` from .cargo/config.toml rather
+# than adding to it, so repeat `-C target-cpu=native` here: without it every
+# probe smoke below would run baseline x86-64 code, not the shipped build.
+export RUSTFLAGS="-D warnings -C target-cpu=native"
 
 echo "== cargo fmt --check"
 cargo fmt --all --check
@@ -62,10 +65,10 @@ cargo run -p ookami-bench --bin report --release -- --validate BENCH_prof.json
 test -s target/PROFILE.collapsed
 
 echo "== live HTTP endpoint selfcheck (ookamiserve --selfcheck)"
-# Binds an ephemeral port, runs a bounded workload, and validates every
+# Binds an ephemeral port, runs a bounded smoke-sized workload, and validates every
 # endpoint (/metrics /profile /trace /samples /bench/<name>) with the
 # in-repo Prometheus/Json/collapsed-stack parsers over real HTTP.
-cargo run -p ookami-bench --bin ookamiserve --release -- --selfcheck --smoke
+cargo run -p ookami-bench --bin ookamiserve --release -- --selfcheck
 
 echo "== bench-trajectory gate (benchdiff vs committed baselines)"
 cargo run -p ookami-bench --bin benchdiff --release -- \
